@@ -78,7 +78,7 @@ class EnclosureReport:
 def _shrink_coordinate(iv: Interval, t: float) -> Interval:
     # halve the width around t, translated back inside iv if it overhangs
     lo, hi = iv.lo, iv.hi
-    half = (hi - lo) / 4
+    half = hi / 4 - lo / 4  # (hi - lo) / 4 overflows once the width passes MAX_FLOAT
     nl = t - half
     nh = t + half
     if nl < lo:

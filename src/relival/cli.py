@@ -8,8 +8,9 @@ Four subcommands over the same expression/box plumbing:
 * ``check``   sample points and count inclusion violations
 
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
-1 check found violations, 2 expression/literal parse error, 3 binding
-coverage error, 4 did not converge, 5 refinement target rejected.
+1 check found violations, 2 expression/literal parse error or a count
+option out of range, 3 binding coverage error, 4 did not converge, 5
+refinement target rejected.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    if args.steps < 0:
+        raise _CliError(2, "--steps must be nonnegative")
     e, names, constants, user_names, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
     point = _parse_point(args.at, names, constants, user_names)
@@ -157,6 +160,8 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_enclose(args) -> int:
+    if args.max_boxes < 1:
+        raise _CliError(2, "--max-boxes must be at least 1")
     e, _, _, _, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
     try:
@@ -181,6 +186,8 @@ def _cmd_enclose(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.samples < 0:
+        raise _CliError(2, "--samples must be nonnegative")
     e, _, _, _, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
     if not box.is_bounded:

@@ -68,11 +68,13 @@ __all__ = [
 class Interval:
     """Closed connected set of reals with binary64 bounds.
 
-    ``Interval(lo, hi)`` normalizes: reversed bounds (lo > hi) denote the
-    empty set, as do impossible ones (lo = +inf or hi = -inf, since the
-    infinities are not members).  Emptiness is carried by the ``is_empty``
-    flag; on the empty interval the stored bounds are inert placeholders
-    that no operation consults.
+    ``Interval(lo, hi)`` keeps float bounds as given and rounds any other
+    bound descriptor (int, Fraction, Decimal, numeric string) outward, so
+    the interval always contains the reals it names.  It normalizes:
+    reversed bounds (lo > hi) denote the empty set, as do impossible ones
+    (lo = +inf or hi = -inf, since the infinities are not members).
+    Emptiness is carried by the ``is_empty`` flag; on the empty interval
+    the stored bounds are inert placeholders that no operation consults.
     """
 
     lo: float
@@ -80,8 +82,12 @@ class Interval:
     is_empty: bool = False
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+        lo, hi = self.lo, self.hi
+        # other bound descriptors name exact reals: round them outward
+        if type(lo) is not float:
+            lo = float(round_down(lo))
+        if type(hi) is not float:
+            hi = float(round_up(hi))
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval bounds cannot be NaN")
         if self.is_empty or lo > hi or lo == math.inf or hi == -math.inf:
@@ -156,7 +162,7 @@ def hull_bounds(lo=None, hi=None) -> Interval:
         return EMPTY
     if lo is None or hi is None:
         raise ValueError("either give both bounds or neither")
-    return Interval(round_down(lo), round_up(hi))
+    return Interval(lo, hi)
 
 
 def hull_union(x: Interval, y: Interval) -> Interval:
@@ -229,15 +235,33 @@ def sub(x: Interval, y: Interval) -> Interval:
 def mul(x: Interval, y: Interval) -> Interval:
     """{z | x * y = z for some witnesses}, rounded outward.
 
-    Corner products decide the hull; a zero endpoint annihilates an
-    infinite one, which is exactly the set semantics ({0 * y} = {0}).
+    The signs of the operands (nonnegative, nonpositive, or straddling
+    zero) pick the corner products that bound the hull, two per case
+    and four when both straddle; directed rounding is monotone, so these
+    are the corners a min/max over all four would choose.  A zero
+    endpoint annihilates an infinite one, which is exactly the set
+    semantics ({0 * y} = {0}).
     """
     if x.is_empty or y.is_empty:
         return EMPTY
     a, b, c, d = x.lo, x.hi, y.lo, y.hi
-    lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
-    hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
-    return Interval(lo, hi)
+    if a >= 0.0:
+        if c >= 0.0:
+            return Interval(mul_down(a, c), mul_up(b, d))
+        if d <= 0.0:
+            return Interval(mul_down(b, c), mul_up(a, d))
+        return Interval(mul_down(b, c), mul_up(b, d))
+    if b <= 0.0:
+        if c >= 0.0:
+            return Interval(mul_down(a, d), mul_up(b, c))
+        if d <= 0.0:
+            return Interval(mul_down(b, d), mul_up(a, c))
+        return Interval(mul_down(a, d), mul_up(a, c))
+    if c >= 0.0:
+        return Interval(mul_down(a, d), mul_up(b, d))
+    if d <= 0.0:
+        return Interval(mul_down(b, c), mul_up(a, c))
+    return Interval(min(mul_down(a, d), mul_down(b, c)), max(mul_up(a, c), mul_up(b, d)))
 
 
 def _div_by_positive(x: Interval, c: float, d: float) -> Interval:
@@ -356,11 +380,9 @@ def parse_interval(text: str) -> Interval:
     if len(parts) != 2:
         raise ValueError(f"interval needs exactly two bounds: {text!r}")
     try:
-        lo = round_down(parts[0])
-        hi = round_up(parts[1])
+        return Interval(parts[0], parts[1])
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad interval bound in {text!r}: {exc}") from None
-    return Interval(lo, hi)
 
 
 def parse_box(text: str) -> "Box":

@@ -2,12 +2,26 @@
 
 Bounds are computed in the default round-to-nearest mode and stepped one
 representable value outward whenever the result is not provably exact, so
-no FPU mode switching is needed anywhere.  Exactness is decided cheaply:
-sums and differences carry an error term recoverable in float arithmetic
-(the two-sum trick), while products, quotients and square roots are
-compared against exact rational arithmetic.  Every helper therefore
-returns either the tightest representable bound or its immediate outward
-neighbour.
+no FPU mode switching is needed anywhere.  Exactness is decided by the
+sign of the residual, the exact value minus its rounded result, which
+error-free transformations recover in float arithmetic:
+
+* sums and differences: two-sum gives the exact error of ``a + b``;
+* products: a Veltkamp split and Dekker's two-product give the exact
+  error of ``p = a * b``;
+* quotients: ``q = a / b`` has the sign of ``a - q*b`` times that of
+  ``b``; two-product splits ``q*b`` into ``ph + err`` exactly, ``a - ph``
+  is exact (Sterbenz), so ``(a - ph) - err`` carries that sign;
+* square roots: ``r = sqrt(a)`` is compared through ``a - r*r``, formed
+  the same way from two-product on ``r*r``.
+
+Two-product is exact only away from overflow and underflow, so products,
+quotients and roots take it when every operand and rounded result has
+magnitude in ``[2**-969, 2**995]``.  Outside that range (zeros,
+subnormals, infinities, values near overflow) the residual's sign comes
+from exact rational arithmetic with ``fractions.Fraction``, which also
+backs ``round_down``/``round_up``.  Every helper therefore returns either
+the tightest representable bound or its immediate outward neighbour.
 
 Infinities are legal bound values here (an infinite bound encodes an
 absent constraint); NaN never is.
@@ -155,103 +169,124 @@ def sub_up(a: float, b: float) -> float:
     return add_up(a, -b)
 
 
-def mul_down(a: float, b: float) -> float:
-    """Lower bound on ``a * b``, where a zero factor annihilates even an
-    infinite one ({0 * y} = {0} under the set reading)."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
+# Two-product is error-free when every factor and product has magnitude in
+# [_TINY, _HUGE]: splitting (2**27 + 1 times a factor) cannot overflow, and
+# |a*b| >= 2**-969 keeps ulp(a)*ulp(b), the last bit of every partial
+# product, at or above the subnormal step 2**-1074.
+_TINY = 2.0**-969
+_HUGE = 2.0**995
+_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _two_product_err(a: float, b: float, p: float) -> float:
+    """Exact ``a*b - p`` for ``p = a*b`` rounded to nearest (Dekker).
+
+    Valid only when ``a``, ``b`` and ``p`` lie in ``[_TINY, _HUGE]`` in
+    magnitude.
+    """
+    t = _SPLITTER * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLITTER * b
+    bh = t - (t - b)
+    bl = b - bh
+    return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+
+
+def _compare(x, y) -> int:
+    """Sign of ``x - y`` in exact arithmetic (Fractions, floats, infinities)."""
+    return (x > y) - (x < y)
+
+
+def _product(a: float, b: float) -> "tuple[float, float]":
+    """``p = a * b`` to nearest, and a number with the sign of the exact
+    product minus ``p``.  A zero factor annihilates even an infinite one
+    ({0 * y} = {0} under the set reading)."""
     p = a * b
-    if math.isinf(p):
-        if math.isinf(a) or math.isinf(b):
-            return p
-        return MAX_FLOAT if p > 0 else p
+    if _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE and _TINY <= abs(p) <= _HUGE:
+        return p, _two_product_err(a, b, p)
+    if a == 0.0 or b == 0.0:
+        return 0.0, 0
     if math.isnan(p):
         raise ValueError("product of NaN operands")
-    if Fraction(p) > Fraction(a) * Fraction(b):
-        return next_down(p)
-    return p
+    if math.isinf(a) or math.isinf(b):
+        return p, 0
+    return p, _compare(Fraction(a) * Fraction(b), p)
+
+
+def _quotient(a: float, b: float) -> "tuple[float, float]":
+    """``q = a / b`` to nearest, and a number with the sign of the exact
+    quotient minus ``q``.  An infinite divisor yields the closure bound 0
+    (callers use it only where the divisor range stretches to infinity,
+    so 0 is the exact limit of the quotients)."""
+    if _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE:
+        q = a / b
+        if _TINY <= abs(q) <= _HUGE:
+            # q*b = a*(1 + d) with |d| <= 2**-53, which keeps ulp(q)*ulp(b)
+            # at or above 2**-1074: two-product on it is error-free
+            ph = q * b
+            r = (a - ph) - _two_product_err(q, b, ph)  # sign of a - q*b
+            return q, (r if b > 0 else -r)
+    if b == 0.0 or (math.isinf(a) and math.isinf(b)):
+        raise ValueError("quotient is not defined for these bounds")
+    if math.isinf(b):
+        return 0.0, 0
+    if math.isinf(a):
+        return (math.inf if (a > 0) == (b > 0) else -math.inf), 0
+    if a == 0.0:
+        return 0.0, 0
+    q = a / b
+    if math.isnan(q):
+        raise ValueError("quotient of NaN operands")
+    return q, _compare(Fraction(a) / Fraction(b), q)
+
+
+def _root(a: float) -> "tuple[float, float]":
+    """``r = sqrt(a)`` to nearest, and a number with the sign of the exact
+    root minus ``r`` (that of ``a - r*r``); requires ``a >= 0``."""
+    if _TINY <= a <= _HUGE:
+        r = math.sqrt(a)
+        ph = r * r
+        return r, (a - ph) - _two_product_err(r, r, ph)
+    if math.isnan(a) or a < 0:
+        raise ValueError("square root bound needs a nonnegative argument")
+    r = math.sqrt(a)
+    if a == math.inf:
+        return r, 0
+    return r, _compare(Fraction(a), Fraction(r) ** 2)
+
+
+def mul_down(a: float, b: float) -> float:
+    """Lower bound on ``a * b``; a zero factor annihilates an infinite one."""
+    p, r = _product(a, b)
+    return next_down(p) if r < 0 else p
 
 
 def mul_up(a: float, b: float) -> float:
     """Upper bound on ``a * b`` with the same zero-annihilation rule."""
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    p = a * b
-    if math.isinf(p):
-        if math.isinf(a) or math.isinf(b):
-            return p
-        return p if p > 0 else -MAX_FLOAT
-    if math.isnan(p):
-        raise ValueError("product of NaN operands")
-    if Fraction(p) < Fraction(a) * Fraction(b):
-        return next_up(p)
-    return p
+    p, r = _product(a, b)
+    return next_up(p) if r > 0 else p
 
 
 def div_down(a: float, b: float) -> float:
-    """Lower bound on ``a / b`` with ``b != 0``.
-
-    An infinite divisor yields the closure bound 0 (callers use it only
-    where the divisor range stretches to infinity, so 0 is the exact
-    limit of the quotients).
-    """
-    if b == 0.0 or (math.isinf(a) and math.isinf(b)):
-        raise ValueError("quotient is not defined for these bounds")
-    if math.isinf(b):
-        return 0.0
-    if math.isinf(a):
-        return math.inf if (a > 0) == (b > 0) else -math.inf
-    if a == 0.0:
-        return 0.0
-    p = a / b
-    if math.isinf(p):
-        return MAX_FLOAT if p > 0 else p
-    if math.isnan(p):
-        raise ValueError("quotient of NaN operands")
-    if Fraction(p) > Fraction(a) / Fraction(b):
-        return next_down(p)
-    return p
+    """Lower bound on ``a / b`` with ``b != 0``; an infinite divisor gives 0."""
+    q, r = _quotient(a, b)
+    return next_down(q) if r < 0 else q
 
 
 def div_up(a: float, b: float) -> float:
     """Upper bound on ``a / b`` with ``b != 0``; infinite divisors as above."""
-    if b == 0.0 or (math.isinf(a) and math.isinf(b)):
-        raise ValueError("quotient is not defined for these bounds")
-    if math.isinf(b):
-        return 0.0
-    if math.isinf(a):
-        return math.inf if (a > 0) == (b > 0) else -math.inf
-    if a == 0.0:
-        return 0.0
-    p = a / b
-    if math.isinf(p):
-        return p if p > 0 else -MAX_FLOAT
-    if math.isnan(p):
-        raise ValueError("quotient of NaN operands")
-    if Fraction(p) < Fraction(a) / Fraction(b):
-        return next_up(p)
-    return p
+    q, r = _quotient(a, b)
+    return next_up(q) if r > 0 else q
 
 
 def sqrt_down(a: float) -> float:
     """Lower bound on the exact square root; requires ``a >= 0``."""
-    if math.isnan(a) or a < 0:
-        raise ValueError("square root bound needs a nonnegative argument")
-    if a == math.inf:
-        return a
-    r = math.sqrt(a)
-    if Fraction(r) ** 2 > Fraction(a):
-        return next_down(r)
-    return r
+    r, e = _root(a)
+    return next_down(r) if e < 0 else r
 
 
 def sqrt_up(a: float) -> float:
     """Upper bound on the exact square root; requires ``a >= 0``."""
-    if math.isnan(a) or a < 0:
-        raise ValueError("square root bound needs a nonnegative argument")
-    if a == math.inf:
-        return a
-    r = math.sqrt(a)
-    if Fraction(r) ** 2 < Fraction(a):
-        return next_up(r)
-    return r
+    r, e = _root(a)
+    return next_up(r) if e > 0 else r

@@ -95,6 +95,13 @@ class TestRefineToward:
         with pytest.raises(ValueError):
             refine_toward(box1(0, 1), (0.5,), -1)
 
+    def test_box_wider_than_max_float_still_shrinks(self):
+        seq = refine_toward(box1(-1e308, 1e308), (0.0,), 3)
+        widths = [width(b[0]) for b in seq.boxes]
+        assert widths[0] == INF  # 2e308 is past MAX_FLOAT
+        assert widths[1] <= 1.0000001e308
+        assert widths[1] > widths[2] > widths[3]
+
 
 class TestCheckConvergence:
     def test_polynomial_converges_to_point_value(self):

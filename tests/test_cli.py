@@ -193,6 +193,20 @@ class TestArgumentErrors:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "x*x", "--var", "x=[0,1]", "--samples", "-5"),
+            ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--steps", "-1"),
+            ("enclose", "x", "--var", "x=[0,1]", "--tol", "0.1", "--max-boxes", "0"),
+        ],
+    )
+    def test_count_out_of_range_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_bad_var_syntax_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x[0,1]")
         assert code == 2

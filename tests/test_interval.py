@@ -1,6 +1,8 @@
 """Interval type and the relational operation tables."""
 
 import math
+import struct
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,7 @@ from relival.interval import (
     subset,
     width,
 )
-from relival.rounding import MAX_FLOAT, next_down, next_up
+from relival.rounding import MAX_FLOAT, mul_down, mul_up, next_down, next_up
 
 INF = math.inf
 
@@ -97,6 +99,29 @@ class TestConstruction:
     def test_int_bounds_coerced(self):
         iv = Interval(1, 2)
         assert iv.lo == 1.0 and isinstance(iv.lo, float)
+
+    def test_descriptor_bounds_round_outward(self):
+        tenth = Interval("0.1", "0.1")
+        assert Fraction(tenth.lo) < Fraction(1, 10) < Fraction(tenth.hi)
+        assert tenth.hi == next_up(tenth.lo)
+        third = Interval(Fraction(1, 3), Fraction(1, 3))
+        assert Fraction(third.lo) < Fraction(1, 3) < Fraction(third.hi)
+        assert Interval(Decimal("0.1"), Decimal("0.1")) == tenth
+        odd = 2**53 + 1
+        assert Interval(odd, odd) == Interval(2.0**53, 2.0**53 + 2)
+        assert Interval(-odd, 10**400) == Interval(-(2.0**53 + 2), INF)
+        assert Interval("-inf", "inf") == REALS
+
+    def test_representable_descriptors_stay_exact(self):
+        assert Interval(3, 2**60) == Interval(3.0, 2.0**60)
+        assert Interval("0.5", Fraction(3, 4)) == Interval(0.5, 0.75)
+        assert Interval(Decimal("-2.25"), "1e22") == Interval(-2.25, 1e22)
+
+    def test_bad_descriptors_rejected(self):
+        with pytest.raises(ValueError):
+            Interval("nan", 1.0)
+        with pytest.raises(ValueError):
+            Interval(0.0, "spam")
 
     def test_boundedness(self):
         assert Interval(1.0, 2.0).is_bounded
@@ -255,6 +280,36 @@ class TestMul:
 
     def test_straddle_times_unbounded(self):
         assert mul(Interval(-1, 1), Interval(0, INF)) == REALS
+
+    def test_case_table_matches_four_corners(self):
+        ends = [-INF, -MAX_FLOAT, -3.5, -1e-300, -5e-324, 0.0, 5e-324, 0.1, 2.0, 1e300, MAX_FLOAT, INF]
+        ivs = [Interval(lo, hi) for lo in ends for hi in ends if lo <= hi and lo < INF and hi > -INF]
+        classes = set()
+        for x in ivs:
+            for y in ivs:
+                classes.add((sign_class(x), sign_class(y)))
+                assert bits(mul(x, y)) == bits(corner_mul(x, y)), (x, y)
+        assert len(classes) == 9
+
+    @given(intervals(), intervals())
+    def test_case_table_matches_four_corners_property(self, x, y):
+        assert bits(mul(x, y)) == bits(corner_mul(x, y))
+
+
+def sign_class(x: Interval) -> str:
+    return "+" if x.lo >= 0 else ("-" if x.hi <= 0 else "0")
+
+
+def corner_mul(x: Interval, y: Interval) -> Interval:
+    # reference: min and max over all four directed corner products
+    a, b, c, d = x.lo, x.hi, y.lo, y.hi
+    lo = min(mul_down(a, c), mul_down(a, d), mul_down(b, c), mul_down(b, d))
+    hi = max(mul_up(a, c), mul_up(a, d), mul_up(b, c), mul_up(b, d))
+    return Interval(lo, hi)
+
+
+def bits(x: Interval) -> bytes:
+    return struct.pack("<dd?", x.lo, x.hi, x.is_empty)
 
 
 class TestDiv:

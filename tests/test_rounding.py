@@ -250,3 +250,81 @@ class TestSqrt:
             sqrt_down(-1.0)
         with pytest.raises(ValueError):
             sqrt_up(-1e-300)
+
+
+# Operands around the fast-path edges: subnormals, powers of two, the
+# extremes, and both thresholds of the error-free range with their
+# neighbours; products and quotients of these cross every threshold.
+_EDGE_MAGNITUDES = [
+    5e-324,
+    1e-320,
+    2.2250738585072009e-308,  # largest subnormal
+    2.0**-1022,
+    2.0**-970,
+    2.0**-969,
+    2.0**-485,
+    0.1,
+    1.0 / 3.0,
+    0.5,
+    1.0,
+    3.0,
+    2.0**497,
+    2.0**995,
+    2.0**1023,
+    MAX_FLOAT,
+]
+EDGES = sorted(
+    {
+        s * v
+        for m in _EDGE_MAGNITUDES
+        for v in (m, next_down(m), next_up(m))
+        for s in (1.0, -1.0)
+        if 0.0 < v < math.inf
+    }
+)
+
+
+class TestFastPathAgainstFractions:
+    """The float fast path must give exactly the rational rounding."""
+
+    @given(finite, finite)
+    def test_mul_matches_rational_rounding(self, a, b):
+        exact = Fraction(a) * Fraction(b)
+        assert mul_down(a, b) == round_down(exact)
+        assert mul_up(a, b) == round_up(exact)
+
+    @given(finite, finite.filter(lambda v: v != 0.0))
+    def test_div_matches_rational_rounding(self, a, b):
+        exact = Fraction(a) / Fraction(b)
+        assert div_down(a, b) == round_down(exact)
+        assert div_up(a, b) == round_up(exact)
+
+    def test_mul_and_div_on_edges(self):
+        for a in EDGES:
+            for b in EDGES:
+                exact = Fraction(a) * Fraction(b)
+                assert mul_down(a, b) == round_down(exact), (a, b)
+                assert mul_up(a, b) == round_up(exact), (a, b)
+                exact = Fraction(a) / Fraction(b)
+                assert div_down(a, b) == round_down(exact), (a, b)
+                assert div_up(a, b) == round_up(exact), (a, b)
+
+    def test_sqrt_on_edges(self):
+        for a in EDGES:
+            if a > 0:
+                qa = Fraction(a)
+                down, up = sqrt_down(a), sqrt_up(a)
+                assert Fraction(down) ** 2 <= qa < Fraction(next_up(down)) ** 2, a
+                assert Fraction(next_down(up)) ** 2 < qa <= Fraction(up) ** 2, a
+
+    def test_in_range_operands_build_no_fraction(self, monkeypatch):
+        import relival.rounding as rounding
+
+        def forbidden(*args):
+            raise AssertionError("Fraction built on the fast path")
+
+        monkeypatch.setattr(rounding, "Fraction", forbidden)
+        for a, b in ((0.1, 3.0), (-1e-150, 1e100), (2.0**500, 2.0**-400), (1.0 / 3.0, -7.0)):
+            mul_down(a, b), mul_up(a, b), div_down(a, b), div_up(a, b)
+            sqrt_down(abs(a)), sqrt_up(abs(a))
+
