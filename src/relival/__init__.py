@@ -9,171 +9,22 @@ analysis layer checks the convergence that inclusion monotonicity
 promises.
 """
 
-from .rounding import (
-    MAX_FLOAT,
-    add_down,
-    add_up,
-    div_down,
-    div_up,
-    mul_down,
-    mul_up,
-    next_down,
-    next_up,
-    round_down,
-    round_up,
-    sqrt_down,
-    sqrt_up,
-    sub_down,
-    sub_up,
-)
-from .interval import (
-    EMPTY,
-    REALS,
-    Box,
-    Interval,
-    absolute,
-    add,
-    div,
-    div_canonical,
-    format_interval,
-    hull_bounds,
-    hull_union,
-    intersects,
-    member,
-    midpoint,
-    mul,
-    neg,
-    parse_box,
-    parse_interval,
-    sqrt_canonical,
-    sqrt_rel,
-    sub,
-    subset,
-    width,
-)
-from .expr import (
-    Binary,
-    Binding,
-    Expr,
-    ParseError,
-    Unary,
-    Var,
-    depth,
-    occurs_once,
-    parse,
-    to_source,
-    variable_sequence,
-)
-from .semantics import (
-    UNDEFINED,
-    DistributionPlan,
-    Interpretation,
-    RealResult,
-    build_distribution,
-    compile_interval,
-    compile_real,
-    default_interpretation,
-    eval_interval,
-    eval_real,
-    mode_select,
-)
-from .analysis import (
-    EnclosureReport,
-    RefinementSequence,
-    bisect,
-    check_convergence,
-    refine_toward,
-    subdivide_enclosure,
-)
-from .oracle import (
-    ManifestCase,
-    RationalInterval,
-    corner_range_oracle,
-    random_case,
-    random_single_occurrence_case,
-    read_manifest,
-    relational_oracle,
-    sample_inclusion,
-    write_manifest,
-)
+from . import analysis, expr, interval, oracle, rounding, semantics
+from .rounding import *
+from .interval import *
+from .expr import *
+from .semantics import *
+from .analysis import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MAX_FLOAT",
-    "round_down",
-    "round_up",
-    "next_down",
-    "next_up",
-    "add_down",
-    "add_up",
-    "sub_down",
-    "sub_up",
-    "mul_down",
-    "mul_up",
-    "div_down",
-    "div_up",
-    "sqrt_down",
-    "sqrt_up",
-    "Interval",
-    "Box",
-    "EMPTY",
-    "REALS",
-    "hull_bounds",
-    "hull_union",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "div_canonical",
-    "sqrt_rel",
-    "sqrt_canonical",
-    "neg",
-    "absolute",
-    "member",
-    "subset",
-    "intersects",
-    "width",
-    "midpoint",
-    "parse_interval",
-    "format_interval",
-    "parse_box",
-    "Expr",
-    "Var",
-    "Unary",
-    "Binary",
-    "Binding",
-    "ParseError",
-    "parse",
-    "to_source",
-    "variable_sequence",
-    "depth",
-    "occurs_once",
-    "DistributionPlan",
-    "build_distribution",
-    "RealResult",
-    "UNDEFINED",
-    "Interpretation",
-    "default_interpretation",
-    "mode_select",
-    "compile_real",
-    "compile_interval",
-    "eval_real",
-    "eval_interval",
-    "RefinementSequence",
-    "EnclosureReport",
-    "refine_toward",
-    "check_convergence",
-    "bisect",
-    "subdivide_enclosure",
-    "RationalInterval",
-    "relational_oracle",
-    "corner_range_oracle",
-    "sample_inclusion",
-    "random_case",
-    "random_single_occurrence_case",
-    "ManifestCase",
-    "write_manifest",
-    "read_manifest",
+    *rounding.__all__,
+    *interval.__all__,
+    *expr.__all__,
+    *semantics.__all__,
+    *analysis.__all__,
+    *oracle.__all__,
     "__version__",
 ]

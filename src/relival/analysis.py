@@ -81,11 +81,13 @@ def _shrink_coordinate(iv: Interval, t: float) -> Interval:
     half = hi / 4 - lo / 4  # (hi - lo) / 4 overflows once the width passes MAX_FLOAT
     nl = t - half
     nh = t + half
+    # t -/+ half overflows when t is within half of -/+MAX_FLOAT; the shift
+    # past the edge then comes from the edge itself, which stays in range
     if nl < lo:
-        nh = min(hi, nh + (lo - nl))
+        nh = min(hi, nh + (lo - nl) if nl > -math.inf else lo + 2 * half)
         nl = lo
     elif nh > hi:
-        nl = max(lo, nl - (nh - hi))
+        nl = max(lo, nl - (nh - hi) if nh < math.inf else hi - 2 * half)
         nh = hi
     # rounding safety: never lose the target or escape the old coordinate
     if nl > t:

@@ -186,8 +186,9 @@ def _cmd_enclose(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.samples < 0:
-        raise _CliError(2, "--samples must be nonnegative")
+    if args.samples < 1:
+        # zero samples would check nothing and still report no violations
+        raise _CliError(2, "--samples must be at least 1")
     e, _, _, _, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
     if not box.is_bounded:

@@ -35,7 +35,6 @@ __all__ = [
     "variable_sequence",
     "depth",
     "occurs_once",
-    "UNARY_WORDS",
 ]
 
 UNARY_WORDS = ("abs", "sqrt", "sqrtr")
@@ -103,84 +102,8 @@ def _tokenize(source: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
-        self.bindings: list[Binding] = []
-        self._used = {t for k, t, _ in self.tokens if k == "ident"}
-        self._fresh = 0
-
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return (None, "", len(self.source))
-
-    def _advance(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def _fresh_name(self) -> str:
-        while True:
-            name = f"_c{self._fresh}"
-            self._fresh += 1
-            if name not in self._used:
-                self._used.add(name)
-                return name
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, at = self._peek()
-        if kind is not None:
-            raise ParseError(f"unexpected {text!r} after expression", at)
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in ("+", "-"):
-                self._advance()
-                e = Binary(text, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in ("*", "/"):
-                self._advance()
-                e = Binary(text, e, self.factor())
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        kind, text, at = self._advance()
-        if kind == "op" and text == "-":
-            return Unary("neg", self.factor())
-        if kind == "op" and text == "(":
-            e = self.expr()
-            k2, t2, a2 = self._advance()
-            if not (k2 == "op" and t2 == ")"):
-                raise ParseError("expected ')'", a2)
-            return e
-        if kind == "ident":
-            if text in UNARY_WORDS:
-                return Unary(text, self.factor())
-            k2, t2, a2 = self._peek()
-            if k2 == "op" and t2 == "(":
-                raise ParseError(f"unknown operation symbol {text!r}", at)
-            return Var(text)
-        if kind == "num":
-            name = self._fresh_name()
-            self.bindings.append(Binding(name, text, Fraction(Decimal(text))))
-            return Var(name)
-        if kind is None:
-            raise ParseError("unexpected end of input", at)
-        raise ParseError(f"unexpected {text!r}", at)
+_PREFIX = ("neg",) + UNARY_WORDS
+_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
 
 
 def parse(source: str) -> "tuple[Expr, list[Binding]]":
@@ -188,13 +111,100 @@ def parse(source: str) -> "tuple[Expr, list[Binding]]":
 
     Bindings are listed in order of literal occurrence; the AST refers to
     them by their fresh variable names.
+
+    The parser is an operator-precedence loop over explicit operand and
+    operator stacks, so nesting depth is bounded by memory rather than
+    by the interpreter's recursion limit.  The operator stack holds
+    ``'('`` markers, pending prefix operations (``neg`` and the unary
+    words, which bind tighter than any infix operator) and pending infix
+    symbols.
     """
-    p = _Parser(source)
-    ast = p.parse()
-    return ast, p.bindings
+    tokens = _tokenize(source)
+    used = {t for k, t, _ in tokens if k == "ident"}
+    bindings: list[Binding] = []
+    fresh = 0
+    operands: list[Expr] = []
+    operators: list[str] = []
+    end = (None, "", len(source))
+    i = 0
+    want_operand = True
+    while True:
+        kind, text, at = tokens[i] if i < len(tokens) else end
+        i += 1
+        if want_operand:
+            if kind == "op" and text in ("-", "("):
+                operators.append("neg" if text == "-" else "(")
+                continue
+            if kind == "ident":
+                if text in UNARY_WORDS:
+                    operators.append(text)
+                    continue
+                if i < len(tokens) and tokens[i][:2] == ("op", "("):
+                    raise ParseError(f"unknown operation symbol {text!r}", at)
+                operands.append(Var(text))
+            elif kind == "num":
+                while f"_c{fresh}" in used:
+                    fresh += 1
+                name = f"_c{fresh}"
+                fresh += 1
+                used.add(name)
+                bindings.append(Binding(name, text, Fraction(Decimal(text))))
+                operands.append(Var(name))
+            elif kind is None:
+                raise ParseError("unexpected end of input", at)
+            else:
+                raise ParseError(f"unexpected {text!r}", at)
+            _apply_prefix(operands, operators)
+            want_operand = False
+            continue
+        if kind == "op" and text in _PREC:
+            _apply_infix(operands, operators, _PREC[text])
+            operators.append(text)
+            want_operand = True
+            continue
+        # anything else closes the innermost open group, or the whole input
+        _apply_infix(operands, operators, 0)
+        if not operators:
+            if kind is None:
+                return operands[0], bindings
+            raise ParseError(f"unexpected {text!r} after expression", at)
+        if not (kind == "op" and text == ")"):
+            raise ParseError("expected ')'", at)
+        operators.pop()
+        _apply_prefix(operands, operators)
 
 
-_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
+def _apply_prefix(operands: list, operators: list):
+    # a factor just completed: the prefix operations waiting for it apply now
+    while operators and operators[-1] in _PREFIX:
+        operands.append(Unary(operators.pop(), operands.pop()))
+
+
+def _apply_infix(operands: list, operators: list, prec: int):
+    # left-associative: fold every pending infix symbol binding at least as tightly
+    while operators and _PREC.get(operators[-1], -1) >= prec:
+        right = operands.pop()
+        operands.append(Binary(operators.pop(), operands.pop(), right))
+
+
+def _postorder(e: Expr) -> "list[Expr]":
+    """Nodes of ``e``, each after its children, left subtree before right.
+
+    Built with an explicit stack: a node is taken before its right then
+    its left subtree, and that order reversed is post-order.  Every
+    structural query shares this walk, so none of them recurses.
+    """
+    order, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if isinstance(node, Binary):
+            stack.append(node.left)
+            stack.append(node.right)
+        elif isinstance(node, Unary):
+            stack.append(node.child)
+    order.reverse()
+    return order
 
 
 def to_source(e: Expr) -> str:
@@ -203,64 +213,59 @@ def to_source(e: Expr) -> str:
     Word unaries always parenthesize their argument; infix children get
     parentheses exactly where precedence or left-associativity demands.
     """
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            inner = to_source(e.child)
-            if isinstance(e.child, Binary):
-                return f"-({inner})"
-            return f"-{inner}"
-        return f"{e.op}({to_source(e.child)})"
-    prec = _PREC[e.op]
-    left = to_source(e.left)
-    if isinstance(e.left, Binary) and _PREC[e.left.op] < prec:
-        left = f"({left})"
-    right = to_source(e.right)
-    if isinstance(e.right, Binary) and _PREC[e.right.op] <= prec:
-        right = f"({right})"
-    return f"{left} {e.op} {right}"
+    texts: list[str] = []
+    for node in _postorder(e):
+        if isinstance(node, Var):
+            texts.append(node.name)
+        elif isinstance(node, Unary):
+            inner = texts.pop()
+            if node.op != "neg":
+                texts.append(f"{node.op}({inner})")
+            elif isinstance(node.child, Binary):
+                texts.append(f"-({inner})")
+            else:
+                texts.append(f"-{inner}")
+        else:
+            prec = _PREC[node.op]
+            right = texts.pop()
+            left = texts.pop()
+            if isinstance(node.left, Binary) and _PREC[node.left.op] < prec:
+                left = f"({left})"
+            if isinstance(node.right, Binary) and _PREC[node.right.op] <= prec:
+                right = f"({right})"
+            texts.append(f"{left} {node.op} {right}")
+    return texts[0]
+
+
+def _leaf_names(e: Expr) -> "list[str]":
+    # leaves come out of a post-order walk left to right
+    return [node.name for node in _postorder(e) if isinstance(node, Var)]
 
 
 def variable_sequence(e: Expr) -> "tuple[str, ...]":
     """Distinct variables of ``e``, ordered by first occurrence (left to
-    right, depth first).  Cached on the node."""
-    cached = e.__dict__.get("_varseq")
-    if cached is not None:
-        return cached
-    if isinstance(e, Var):
-        seq = (e.name,)
-    elif isinstance(e, Unary):
-        seq = variable_sequence(e.child)
-    else:
-        left = variable_sequence(e.left)
-        seen = set(left)
-        seq = left + tuple(w for w in variable_sequence(e.right) if w not in seen)
-    e.__dict__["_varseq"] = seq
+    right, depth first).  Cached on the node it is asked of."""
+    seq = e.__dict__.get("_varseq")
+    if seq is None:
+        seq = e.__dict__["_varseq"] = tuple(dict.fromkeys(_leaf_names(e)))
     return seq
 
 
 def depth(e: Expr) -> int:
     """Longest path from the root to a leaf, counting nodes; a leaf is 1."""
-    if isinstance(e, Var):
-        return 1
-    if isinstance(e, Unary):
-        return 1 + depth(e.child)
-    return 1 + max(depth(e.left), depth(e.right))
-
-
-def _leaf_names(e: Expr, out: list):
-    if isinstance(e, Var):
-        out.append(e.name)
-    elif isinstance(e, Unary):
-        _leaf_names(e.child, out)
-    else:
-        _leaf_names(e.left, out)
-        _leaf_names(e.right, out)
+    heights: list[int] = []
+    for node in _postorder(e):
+        if isinstance(node, Binary):
+            right = heights.pop()
+            heights[-1] = 1 + max(heights[-1], right)
+        elif isinstance(node, Unary):
+            heights[-1] += 1
+        else:
+            heights.append(1)
+    return heights[0]
 
 
 def occurs_once(e: Expr) -> bool:
     """True when no variable appears at more than one leaf."""
-    names: list = []
-    _leaf_names(e, names)
+    names = _leaf_names(e)
     return len(names) == len(set(names))

@@ -29,7 +29,6 @@ from .semantics import Interpretation, compile_real, eval_interval
 
 __all__ = [
     "RationalInterval",
-    "RATIONAL_EMPTY",
     "relational_oracle",
     "corner_range_oracle",
     "sample_inclusion",
@@ -38,7 +37,6 @@ __all__ = [
     "ManifestCase",
     "write_manifest",
     "read_manifest",
-    "case_for",
 ]
 
 
@@ -298,10 +296,11 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
             raise ValueError("inclusion sampling needs a bounded box")
     iv = eval_interval(e, interp, dims)
     rfn = compile_real(e, interp)
-    rng = random.Random(seed)
+    bounds = [(d.lo, d.hi) for d in dims]
+    u = random.Random(seed).uniform
     violations = 0
     for _ in range(samples):
-        pt = tuple(rng.uniform(d.lo, d.hi) for d in dims)
+        pt = tuple([u(lo, hi) for lo, hi in bounds])
         v = rfn(pt)
         if v is not None and math.isfinite(v) and not member(v, iv):
             violations += 1

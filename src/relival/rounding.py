@@ -34,6 +34,24 @@ import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
+__all__ = [
+    "MAX_FLOAT",
+    "round_down",
+    "round_up",
+    "next_down",
+    "next_up",
+    "add_down",
+    "add_up",
+    "sub_down",
+    "sub_up",
+    "mul_down",
+    "mul_up",
+    "div_down",
+    "div_up",
+    "sqrt_down",
+    "sqrt_up",
+]
+
 MAX_FLOAT = sys.float_info.max
 
 BoundLike = "float | int | Fraction | Decimal | str"

@@ -1,15 +1,18 @@
 """Evaluation of expressions over points and over boxes.
 
 An ``Interpretation`` assigns each operation symbol a real partial
-function and an interval operation that extends it setwise.  Evaluating
-``e1 <op> e2`` routes one combined argument tuple to the two
-subexpressions through an index plan derived from their variable
-sequences: the left operand's variables form a prefix of the combined
-sequence, and a variable shared by both sides receives the same
-coordinate on both, never an independent copy.  That routing is what
-keeps ``x - x`` over [0,1] at [-1,1] (one witness per variable, chosen
-independently per side of the relation) rather than pretending the two
-sides are correlated.
+function and an interval operation that extends it setwise.  Both
+layers run one tape (a straight-line operation list, or Wengert list)
+that is built once per root node without recursion and cached there.
+Slots ``0..n-1`` hold the arguments, one per variable in the order of
+``variable_sequence``; each later slot holds one ``(symbol, a, b)``
+operation on earlier slots, in post-order, where ``b < 0`` marks a
+unary one.  Operations are numbered by that key, so a repeated subterm
+is evaluated once, which changes no result.  Every leaf of a variable
+reads that one coordinate, which is where ``build_distribution`` routes
+it node by node, so ``x - x`` over [0,1] stays at [-1,1] (one witness
+per variable, chosen independently per side of the relation) rather
+than pretending the two sides are correlated.
 
 Point evaluation is strict about partiality: an undefined subterm makes
 the whole result undefined, and a defined result is always a finite
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .expr import Binary, Expr, Unary, Var, variable_sequence
+from .expr import Expr, Unary, Var, _postorder, variable_sequence
 from .interval import (
     Box,
     Interval,
@@ -81,14 +84,6 @@ def build_distribution(left: Expr, right: Expr) -> DistributionPlan:
             n += 1
         ridx.append(pos[name])
     return DistributionPlan(n, tuple(range(len(lseq))), tuple(ridx))
-
-
-def _plan_for(node: Binary) -> DistributionPlan:
-    plan = node.__dict__.get("_plan")
-    if plan is None:
-        plan = build_distribution(node.left, node.right)
-        node.__dict__["_plan"] = plan
-    return plan
 
 
 @dataclass(frozen=True)
@@ -197,6 +192,37 @@ def mode_select(base: Interpretation, mode: str) -> Interpretation:
     return Interpretation(base.real_ops, {**base.interval_ops, **overrides}, mode)
 
 
+def _tape(e: Expr) -> "tuple[int, tuple[tuple[str, int, int], ...]]":
+    """Argument count and operations of ``e``'s tape; cached on the node."""
+    tape = e.__dict__.get("_tape")
+    if tape is None:
+        names = variable_sequence(e)
+        slot: dict = {name: k for k, name in enumerate(names)}  # name or op key -> slot
+        ops: list = []
+        stack: list[int] = []  # slot of each finished subterm
+        for node in _postorder(e):
+            if isinstance(node, Var):
+                stack.append(slot[node.name])
+                continue
+            if isinstance(node, Unary):
+                key = (node.op, stack.pop(), -1)
+            else:
+                b = stack.pop()
+                key = (node.op, stack.pop(), b)
+            k = slot.get(key)
+            if k is None:
+                k = slot[key] = len(names) + len(ops)
+                ops.append(key)
+            stack.append(k)
+        tape = e.__dict__["_tape"] = (len(names), tuple(ops))
+    return tape
+
+
+def _bind(e: Expr, lookup: Callable) -> "tuple[int, tuple]":
+    n, ops = _tape(e)
+    return n, tuple((lookup(sym), a, b) for sym, a, b in ops)
+
+
 def compile_real(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a point evaluator.
 
@@ -205,59 +231,31 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
     partial function is undefined.  Arity is not rechecked per call; use
     ``eval_real`` for the validated one-shot form.
     """
-    if isinstance(e, Var):
-        return lambda args: args[0]
-    if isinstance(e, Unary):
-        op = interp.real_op(e.op)
-        child = compile_real(e.child, interp)
+    n, ops = _bind(e, interp.real_op)
 
-        def run_unary(args, _op=op, _child=child):
-            v = _child(args)
-            return None if v is None else _op(v)
+    def run(args):
+        s = list(args[:n])
+        for f, a, b in ops:
+            v = f(s[a]) if b < 0 else f(s[a], s[b])
+            if v is None:
+                return None
+            s.append(v)
+        return s[-1]
 
-        return run_unary
-    op = interp.real_op(e.op)
-    left = compile_real(e.left, interp)
-    right = compile_real(e.right, interp)
-    plan = _plan_for(e)
-    m = len(plan.left_indices)
-    ridx = plan.right_indices
-
-    def run_binary(args, _op=op, _l=left, _r=right, _m=m, _ridx=ridx):
-        a = _l(args[:_m])
-        if a is None:
-            return None
-        b = _r(tuple(args[i] for i in _ridx))
-        if b is None:
-            return None
-        return _op(a, b)
-
-    return run_binary
+    return run
 
 
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a box evaluator (tuple of intervals in)."""
-    if isinstance(e, Var):
-        return lambda args: args[0]
-    if isinstance(e, Unary):
-        op = interp.interval_op(e.op)
-        child = compile_interval(e.child, interp)
+    n, ops = _bind(e, interp.interval_op)
 
-        def run_unary(args, _op=op, _child=child):
-            return _op(_child(args))
+    def run(args):
+        s = list(args[:n])
+        for f, a, b in ops:
+            s.append(f(s[a]) if b < 0 else f(s[a], s[b]))
+        return s[-1]
 
-        return run_unary
-    op = interp.interval_op(e.op)
-    left = compile_interval(e.left, interp)
-    right = compile_interval(e.right, interp)
-    plan = _plan_for(e)
-    m = len(plan.left_indices)
-    ridx = plan.right_indices
-
-    def run_binary(args, _op=op, _l=left, _r=right, _m=m, _ridx=ridx):
-        return _op(_l(args[:_m]), _r(tuple(args[i] for i in _ridx)))
-
-    return run_binary
+    return run
 
 
 def _check_arity(e: Expr, got: int):

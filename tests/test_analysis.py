@@ -15,6 +15,7 @@ from relival.analysis import (
 )
 from relival.expr import parse
 from relival.interval import Box, Interval, member, subset, width
+from relival.rounding import MAX_FLOAT
 from relival.semantics import default_interpretation, eval_interval
 from relival.oracle import random_case
 
@@ -101,6 +102,16 @@ class TestRefineToward:
         assert widths[0] == INF  # 2e308 is past MAX_FLOAT
         assert widths[1] <= 1.0000001e308
         assert widths[1] > widths[2] > widths[3]
+
+    @pytest.mark.parametrize("target", [MAX_FLOAT, -MAX_FLOAT])
+    def test_target_at_the_edge_of_the_float_range(self, target):
+        # target +/- the quarter width overflows here; the box must still shrink
+        seq = refine_toward(box1(-MAX_FLOAT, MAX_FLOAT), (target,), 3)
+        widths = [width(b[0]) for b in seq.boxes]
+        assert widths[0] == INF
+        assert widths[1] <= MAX_FLOAT
+        assert widths[1] > widths[2] > widths[3]
+        assert all(b[0].lo <= target <= b[0].hi for b in seq.boxes)
 
 
 class TestCheckConvergence:

@@ -199,6 +199,8 @@ class TestArgumentErrors:
             ("check", "x*x", "--var", "x=[0,1]", "--samples", "-5"),
             ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--steps", "-1"),
             ("enclose", "x", "--var", "x=[0,1]", "--tol", "0.1", "--max-boxes", "0"),
+            # zero samples would check nothing yet report no violations
+            ("check", "x*x", "--var", "x=[0,1]", "--samples", "0"),
         ],
     )
     def test_count_out_of_range_exit_two(self, capsys, argv):

@@ -2,13 +2,17 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relival.expr import Binary, Unary, Var, parse, variable_sequence
 from relival.interval import EMPTY, REALS, Box, Interval, member, subset
 from relival.semantics import (
     UNDEFINED,
+    Interpretation,
     RealResult,
     build_distribution,
     compile_interval,
@@ -240,6 +244,77 @@ class TestCompositionality:
             e, box = random_case(rng, max_depth=4)
             fn = compile_interval(e, DEFAULT)
             assert fn(box.dims) == eval_interval(e, DEFAULT, box)
+
+
+def _reference(e, interp, args, real):
+    """Reference evaluator: recursion over the tree, each binary node
+    routing its argument tuple to its children through ``build_distribution``."""
+    if isinstance(e, Var):
+        return args[0]
+    if isinstance(e, Unary):
+        v = _reference(e.child, interp, args, real)
+        if not real:
+            return interp.interval_op(e.op)(v)
+        return None if v is None else interp.real_op(e.op)(v)
+    plan = build_distribution(e.left, e.right)
+    a = _reference(e.left, interp, tuple(args[i] for i in plan.left_indices), real)
+    if real and a is None:
+        return None
+    b = _reference(e.right, interp, tuple(args[i] for i in plan.right_indices), real)
+    if real and b is None:
+        return None
+    op = interp.real_op(e.op) if real else interp.interval_op(e.op)
+    return op(a, b)
+
+
+def _bits(v):
+    # repr tells -0.0 from 0.0, which == does not
+    if isinstance(v, Interval):
+        return (v.is_empty, repr(v.lo), repr(v.hi))
+    return repr(v)
+
+
+def _counting(table, calls):
+    def wrap(sym, f):
+        def counted(*args):
+            calls[sym] += 1
+            return f(*args)
+
+        return counted
+
+    return {sym: wrap(sym, f) for sym, f in table.items()}
+
+
+class TestTape:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["default", "canonical"]))
+    def test_matches_closure_routing(self, seed, mode):
+        interp = DEFAULT if mode == "default" else mode_select(DEFAULT, mode)
+        rng = random.Random(seed)
+        e, box = random_case(rng, max_depth=6)
+        got = compile_interval(e, interp)(box.dims)
+        assert _bits(got) == _bits(_reference(e, interp, box.dims, real=False))
+        rfn = compile_real(e, interp)
+        for _ in range(8):
+            pt = tuple(rng.uniform(d.lo, d.hi) for d in box)
+            assert _bits(rfn(pt)) == _bits(_reference(e, interp, pt, real=True))
+
+    def test_repeated_subterm_evaluated_once(self):
+        calls = Counter()
+        interp = Interpretation(_counting(DEFAULT.real_ops, calls), _counting(DEFAULT.interval_ops, calls))
+        e = ast("(x*y) - (x*y)")
+        box = (Interval(0, 1), Interval(2, 3))
+        assert compile_interval(e, interp)(box) == Interval(-3, 3)
+        assert calls == {"*": 1, "-": 1}
+        calls.clear()
+        assert compile_real(e, interp)((0.5, 3.0)) == 0.0
+        assert calls == {"*": 1, "-": 1}
+
+    def test_unknown_symbol_fails_at_compile_time(self):
+        e = Binary("+", Var("x"), Unary("exp", Var("x")))
+        with pytest.raises(KeyError, match="real operation"):
+            compile_real(e, DEFAULT)
+        with pytest.raises(KeyError, match="interval operation"):
+            compile_interval(e, DEFAULT)
 
 
 class TestInclusion:
