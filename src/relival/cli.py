@@ -9,8 +9,8 @@ Four subcommands over the same expression/box plumbing:
 
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
 1 check found violations, 2 expression/literal parse error or a count
-option out of range, 3 binding coverage error, 4 did not converge, 5
-refinement target rejected.
+or tolerance option out of range, 3 binding coverage error, 4 did not
+converge, 5 refinement target rejected.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ def _assemble(expr_text: str, var_flags):
 
 
 def _parse_point(at_text: str, names, constants, user_names):
-    tokens = [t.strip() for t in at_text.split(",")]
+    # an empty --at gives no values, for expressions without variables
+    tokens = [t.strip() for t in at_text.split(",")] if at_text.strip() else []
     if len(tokens) != len(user_names):
         raise _CliError(
             2,
@@ -103,7 +104,11 @@ def _parse_point(at_text: str, names, constants, user_names):
     point = []
     for n in names:
         if n in constants:
-            point.append(float(constants[n].value))
+            try:
+                point.append(float(constants[n].value))
+            except OverflowError:
+                literal = constants[n].literal
+                raise _CliError(5, f"constant {literal} is beyond the float range") from None
         else:
             point.append(by_name[n])
     return tuple(point)
@@ -135,6 +140,8 @@ def _cmd_eval(args) -> int:
 def _cmd_refine(args) -> int:
     if args.steps < 0:
         raise _CliError(2, "--steps must be nonnegative")
+    if not args.tol >= 0:
+        raise _CliError(2, "--tol must be a nonnegative number")
     e, names, constants, user_names, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
     point = _parse_point(args.at, names, constants, user_names)
@@ -162,6 +169,8 @@ def _cmd_refine(args) -> int:
 def _cmd_enclose(args) -> int:
     if args.max_boxes < 1:
         raise _CliError(2, "--max-boxes must be at least 1")
+    if not args.tol > 0:
+        raise _CliError(2, "--tol must be a positive number")
     e, _, _, _, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
     try:

@@ -41,23 +41,77 @@ UNARY_WORDS = ("abs", "sqrt", "sqrtr")
 
 
 class Expr:
-    """Base class for AST nodes."""
+    """Base class for AST nodes.
+
+    Nodes compare, hash and print structurally, with the text dataclasses
+    would generate, but none of the three recurses, so they work on trees
+    of any depth.
+    """
 
     __match_args__ = ()
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if isinstance(a, Binary):
+                if a.op != b.op:
+                    return False
+                pairs.append((a.right, b.right))
+                pairs.append((a.left, b.left))
+            elif isinstance(a, Unary):
+                if a.op != b.op:
+                    return False
+                pairs.append((a.child, b.child))
+            elif a.name != b.name:
+                return False
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return _fold(
+            self,
+            lambda v: hash((v.name,)),
+            lambda u, child: hash((u.op, child)),
+            lambda b, left, right: hash((b.op, left, right)),
+        )
+
+    def __repr__(self):
+        # pieces come off the stack in reading order: nodes open, strings close
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+            elif isinstance(item, Binary):
+                pieces.append(f"Binary(op={item.op!r}, left=")
+                stack += (")", item.right, ", right=", item.left)
+            elif isinstance(item, Unary):
+                pieces.append(f"Unary(op={item.op!r}, child=")
+                stack += (")", item.child)
+            else:
+                pieces.append(f"Var(name={item.name!r})")
+        return "".join(pieces)
+
+
+# equality, hashing and repr come from Expr
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Unary(Expr):
     op: str  # "neg", "abs", "sqrt" or "sqrtr"
     child: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Expr):
     op: str  # "+", "-", "*" or "/"
     left: Expr
@@ -207,34 +261,45 @@ def _postorder(e: Expr) -> "list[Expr]":
     return order
 
 
+def _fold(e: Expr, var, unary, binary):
+    """Combine values bottom-up over ``_postorder(e)``: ``var(node)`` at a
+    leaf, ``unary(node, child value)`` and ``binary(node, left value,
+    right value)`` above."""
+    values = []
+    for node in _postorder(e):
+        if isinstance(node, Binary):
+            right = values.pop()
+            values[-1] = binary(node, values[-1], right)
+        elif isinstance(node, Unary):
+            values[-1] = unary(node, values[-1])
+        else:
+            values.append(var(node))
+    return values[0]
+
+
 def to_source(e: Expr) -> str:
     """Render an AST back to source; ``parse(to_source(e))`` rebuilds ``e``.
 
     Word unaries always parenthesize their argument; infix children get
     parentheses exactly where precedence or left-associativity demands.
     """
-    texts: list[str] = []
-    for node in _postorder(e):
-        if isinstance(node, Var):
-            texts.append(node.name)
-        elif isinstance(node, Unary):
-            inner = texts.pop()
-            if node.op != "neg":
-                texts.append(f"{node.op}({inner})")
-            elif isinstance(node.child, Binary):
-                texts.append(f"-({inner})")
-            else:
-                texts.append(f"-{inner}")
-        else:
-            prec = _PREC[node.op]
-            right = texts.pop()
-            left = texts.pop()
-            if isinstance(node.left, Binary) and _PREC[node.left.op] < prec:
-                left = f"({left})"
-            if isinstance(node.right, Binary) and _PREC[node.right.op] <= prec:
-                right = f"({right})"
-            texts.append(f"{left} {node.op} {right}")
-    return texts[0]
+
+    def unary(node, inner):
+        if node.op != "neg":
+            return f"{node.op}({inner})"
+        if isinstance(node.child, Binary):
+            return f"-({inner})"
+        return f"-{inner}"
+
+    def binary(node, left, right):
+        prec = _PREC[node.op]
+        if isinstance(node.left, Binary) and _PREC[node.left.op] < prec:
+            left = f"({left})"
+        if isinstance(node.right, Binary) and _PREC[node.right.op] <= prec:
+            right = f"({right})"
+        return f"{left} {node.op} {right}"
+
+    return _fold(e, lambda v: v.name, unary, binary)
 
 
 def _leaf_names(e: Expr) -> "list[str]":
@@ -253,16 +318,7 @@ def variable_sequence(e: Expr) -> "tuple[str, ...]":
 
 def depth(e: Expr) -> int:
     """Longest path from the root to a leaf, counting nodes; a leaf is 1."""
-    heights: list[int] = []
-    for node in _postorder(e):
-        if isinstance(node, Binary):
-            right = heights.pop()
-            heights[-1] = 1 + max(heights[-1], right)
-        elif isinstance(node, Unary):
-            heights[-1] += 1
-        else:
-            heights.append(1)
-    return heights[0]
+    return _fold(e, lambda v: 1, lambda u, child: child + 1, lambda b, lt, rt: 1 + max(lt, rt))
 
 
 def occurs_once(e: Expr) -> bool:

@@ -4,7 +4,9 @@ An ``Interval`` is a closed connected set of reals: the empty set, a
 bounded ``[lo, hi]``, a ray, or the whole line.  An infinite bound records
 the absence of a constraint on that side; the infinities themselves are
 never members.  ``Box`` is an ordered tuple of intervals with
-coordinatewise membership.
+coordinatewise membership.  Both are slotted frozen dataclasses: every
+operation returns a fresh value built through the one constructor, so
+construction is kept cheap.
 
 Arithmetic follows the relational reading: ``X op Y`` is the tightest
 representable interval around every ``z`` for which witnesses ``x in X``
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import copysign
 
 from .rounding import (
     add_down,
@@ -63,45 +66,55 @@ __all__ = [
     "parse_box",
 ]
 
+_INF = math.inf
+_NINF = -math.inf
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed connected set of reals with binary64 bounds.
 
-    ``Interval(lo, hi)`` keeps float bounds as given and rounds any other
-    bound descriptor (int, Fraction, Decimal, numeric string) outward, so
-    the interval always contains the reals it names.  It normalizes:
-    reversed bounds (lo > hi) denote the empty set, as do impossible ones
-    (lo = +inf or hi = -inf, since the infinities are not members).
-    Emptiness is carried by the ``is_empty`` flag; on the empty interval
-    the stored bounds are inert placeholders that no operation consults.
+    A slotted frozen value.  ``Interval(lo, hi)`` keeps float bounds as
+    given and rounds any other bound descriptor (int, Fraction, Decimal,
+    numeric string) outward, so the interval always contains the reals it
+    names.  It normalizes: reversed bounds (lo > hi) denote the empty
+    set, as do impossible ones (lo = +inf or hi = -inf, since the
+    infinities are not members).  Emptiness is carried by the ``is_empty``
+    flag; on the empty interval the stored bounds are inert placeholders
+    that no operation consults.
     """
 
     lo: float
     hi: float
     is_empty: bool = False
 
+    # the single validation hook; the benchmark tracer times and counts constructions here
     def __post_init__(self):
         lo, hi = self.lo, self.hi
         # other bound descriptors name exact reals: round them outward
         if type(lo) is not float:
             lo = float(round_down(lo))
+            object.__setattr__(self, "lo", lo)
         if type(hi) is not float:
             hi = float(round_up(hi))
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("interval bounds cannot be NaN")
-        if self.is_empty or lo > hi or lo == math.inf or hi == -math.inf:
-            lo, hi, empty = math.inf, -math.inf, True
-        else:
+            object.__setattr__(self, "hi", hi)
+        if lo <= hi and lo != _INF and hi != _NINF:
+            # writes only for a non-bool flag or a -0.0 bound; the common case makes none
+            empty = self.is_empty
+            if empty is not False:
+                if empty:
+                    _set_empty(self)
+                    return
+                object.__setattr__(self, "is_empty", False)
             # normalize -0.0 so equal sets compare and print identically
-            if lo == 0.0:
-                lo = 0.0
-            if hi == 0.0:
-                hi = 0.0
-            empty = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "is_empty", empty)
+            if lo == 0.0 and copysign(1.0, lo) < 0.0:
+                object.__setattr__(self, "lo", 0.0)
+            if hi == 0.0 and copysign(1.0, hi) < 0.0:
+                object.__setattr__(self, "hi", 0.0)
+            return
+        if lo != lo or hi != hi:
+            raise ValueError("interval bounds cannot be NaN")
+        _set_empty(self)
 
     @classmethod
     def point(cls, value: float) -> "Interval":
@@ -145,6 +158,12 @@ class Interval:
 
     def __repr__(self) -> str:
         return format_interval(self)
+
+
+def _set_empty(x: Interval) -> None:
+    object.__setattr__(x, "lo", _INF)
+    object.__setattr__(x, "hi", _NINF)
+    object.__setattr__(x, "is_empty", True)
 
 
 EMPTY = Interval(0.0, 0.0, is_empty=True)
@@ -391,9 +410,12 @@ def parse_box(text: str) -> "Box":
     return Box(tuple(parse_interval(p) for p in parts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
-    """Ordered tuple of intervals; empty as a set iff any coordinate is."""
+    """Ordered tuple of intervals; empty as a set iff any coordinate is.
+
+    A slotted frozen value, like ``Interval``.
+    """
 
     dims: tuple
 

@@ -1,8 +1,12 @@
 """Command line behavior: output text, JSON payloads, exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relival.cli import main
 from relival.interval import parse_interval, subset
@@ -107,6 +111,16 @@ class TestRefine:
         assert code == 5
         assert "error:" in err
 
+    def test_constant_expression_takes_empty_target(self, capsys):
+        code, out, err = run(capsys, "refine", "1 + 2", "--at", "", "--steps", "2")
+        assert (code, err) == (0, "")
+        assert out.startswith("enclosure: [3,3]\n")
+
+    def test_constant_beyond_float_range_exit_five(self, capsys):
+        code, out, err = run(capsys, "refine", "x + 1e999", "--var", "x=[0,1]", "--at", "0.5")
+        assert (code, out) == (5, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_at_count_mismatch_exit_two(self, capsys):
         code, _, err = run(capsys, "refine", "x + y", "--var", "x=[0,1]",
                            "--var", "y=[0,1]", "--at", "0.5")
@@ -201,6 +215,11 @@ class TestArgumentErrors:
             ("enclose", "x", "--var", "x=[0,1]", "--tol", "0.1", "--max-boxes", "0"),
             # zero samples would check nothing yet report no violations
             ("check", "x*x", "--var", "x=[0,1]", "--samples", "0"),
+            ("enclose", "x", "--var", "x=[0,1]", "--tol", "nan"),
+            ("enclose", "x", "--var", "x=[0,1]", "--tol", "-1"),
+            ("enclose", "x", "--var", "x=[0,1]", "--tol", "0"),
+            ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--tol", "nan"),
+            ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--tol", "-1"),
         ],
     )
     def test_count_out_of_range_exit_two(self, capsys, argv):
@@ -237,3 +256,107 @@ class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+# -- argv fuzzer ---------------------------------------------------------------
+
+_NAMES = ("x", "y", "z")
+_numbers = st.sampled_from(
+    ["0", "-0", "1", "-1", "0.5", "1e308", "-1e308", "1e999", "5e-324", "1e-400",
+     "nan", "inf", "-inf"]
+) | st.floats().map(repr)
+_leaves = st.sampled_from(_NAMES + ("0", "2", "0.5", "1e308", "1e999", "3e-320"))
+_shallow = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds("{}({})".format, st.sampled_from(["-", "abs", "sqrt", "sqrtr"]), sub),
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+    ),
+    max_leaves=10,
+)
+# past the interpreter's recursion limit; the tape walks them without recursing
+_deep = st.builds(
+    lambda n, wrap, leaf: wrap * n + leaf + ")" * n,
+    st.integers(1000, 2500),
+    st.sampled_from(["(", "-(", "abs(", "sqrt(-", "sqrtr("]),
+    _leaves,
+) | st.builds(
+    lambda n, op: f" {op} ".join(_NAMES * n), st.integers(300, 800), st.sampled_from("+-*/")
+)
+_tols = st.sampled_from(["1e-3", "0.5", "10", "inf"]) | _numbers
+_junk = st.text(alphabet="xyz0123456789.e+-*/() absqrt,[]", max_size=16)
+_intervals = (
+    st.builds("[{},{}]".format, _numbers, _numbers)
+    | st.sampled_from(["empty", "[1,", "[]", "[1,2,3]", "1,2", "[a,b]", ""])
+    | st.text(alphabet="[],.-0123456789einfa", max_size=12)
+)
+_fitting = st.sampled_from(
+    ["[0,1]", "[-1,2]", "[0.5,0.5]", "[1,4]", "[-0,0]", "[1e-300,1e300]", "[-1e308,1e308]",
+     "[0,inf]", "[-inf,inf]", "[1,1e999]", "empty"]
+) | _intervals
+_wrong_flags = st.lists(
+    st.builds("{}={}".format, st.sampled_from(_NAMES + ("q",)), _intervals)
+    | st.sampled_from(["x", "=[0,1]", "x[0,1]"]),
+    max_size=4,
+)
+
+
+@st.composite
+def _argvs(draw):
+    # options take the --opt=value form so that values such as -inf stay values;
+    # counts stay small: a run's cost grows with them, and a huge one never ends
+    command = draw(st.sampled_from(["eval", "refine", "enclose", "check"]))
+    expression = draw(st.one_of(_shallow, _shallow, _deep, _junk))
+    if expression.startswith("-"):
+        expression = f"({expression})"
+    argv = [command, expression]
+    used = [n for n in _NAMES if n in expression]
+    if draw(st.integers(0, 3)):
+        # mostly one binding per variable, so that runs get past binding checks
+        argv += [f"--var={n}={draw(_fitting)}" for n in used]
+    else:
+        argv += [f"--var={flag}" for flag in draw(_wrong_flags)]
+    if draw(st.booleans()):
+        argv.append("--mode=" + draw(st.sampled_from(["relational", "canonical"])))
+    if draw(st.booleans()):
+        argv.append("--json")
+    if command == "refine":
+        inside = st.sampled_from(["0.5", "1", "0", "2"])
+        at = draw(st.lists(inside | _numbers, min_size=len(used), max_size=len(used))
+                  | st.lists(inside, min_size=len(used), max_size=len(used))
+                  | st.lists(_numbers, max_size=4))
+        argv.append("--at=" + ",".join(at))
+        argv.append(f"--steps={draw(st.integers(-1, 6))}")
+        if draw(st.booleans()):
+            argv.append("--tol=" + draw(_tols))
+    elif command == "enclose":
+        argv.append("--tol=" + draw(_tols))
+        argv.append(f"--max-boxes={draw(st.integers(-1, 6))}")
+    elif command == "check":
+        argv.append(f"--samples={draw(st.integers(-2, 5))}")
+        argv.append(f"--seed={draw(st.integers(0, 9))}")
+    return argv
+
+
+class TestArgvFuzz:
+    @given(_argvs())
+    def test_exit_code_and_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+                usage_error = False
+            except SystemExit as exc:
+                code, usage_error = exc.code, True
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if usage_error:
+            # argparse refused the argv: usage text and its own error line
+            assert code == 2 and out == ""
+            assert "error:" in err
+        elif code in (2, 3, 5):
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+        else:
+            assert code in (0, 1, 4)
+            assert err == "" and out

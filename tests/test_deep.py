@@ -3,8 +3,7 @@
 Parsing, printing, the structural queries, both evaluators and the
 ``relival eval`` command all walk expressions without recursion, so
 each shape below, nested 10**4 levels deep, must go through every one.
-Results are compared as source strings and intervals: dataclass
-``__eq__`` on these ASTs would itself recurse.
+So must AST equality, hashing and ``repr``.
 """
 
 import pytest
@@ -60,6 +59,23 @@ def test_parses_prints_and_queries(shape):
     names = tuple(f.partition("=")[0] for f in flags)
     assert variable_sequence(e) == names
     assert occurs_once(e) == (names == ("x",))
+
+
+def test_compares_hashes_and_reprs(shape):
+    source, printed, *_ = shape
+    e, _ = parse(source)
+    same, _ = parse(printed)
+    assert e is not same
+    assert e == same and not e != same
+    assert hash(e) == hash(same)
+    # change the first and the last leaf: one of them sits at the bottom
+    for at in (source.index("x"), max(source.rindex("x"), source.rfind("y"))):
+        assert e != parse(source[:at] + "z" + source[at + 1 :])[0]
+    text = repr(e)
+    assert text == repr(same)
+    assert text.startswith(("Binary(op=", "Unary(op="))
+    assert text.count("Var(name=") == printed.count("x") + printed.count("y")
+    assert text.count("(") == text.count(")")
 
 
 def test_evaluates(shape):

@@ -1,5 +1,6 @@
 """Expression language: parsing, printing, structural queries."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,45 @@ class TestQueries:
     @given(_exprs())
     def test_caching_is_stable(self, e):
         assert variable_sequence(e) is variable_sequence(e)
+
+
+# the same node shapes with dataclass-generated (recursive) methods, as the reference
+_MIRROR = {
+    Var: dataclasses.make_dataclass("Var", [("name", str)], frozen=True),
+    Unary: dataclasses.make_dataclass("Unary", [("op", str), ("child", object)], frozen=True),
+    Binary: dataclasses.make_dataclass(
+        "Binary", [("op", str), ("left", object), ("right", object)], frozen=True
+    ),
+}
+
+
+def _mirror(e):
+    if isinstance(e, Var):
+        return _MIRROR[Var](e.name)
+    if isinstance(e, Unary):
+        return _MIRROR[Unary](e.op, _mirror(e.child))
+    return _MIRROR[Binary](e.op, _mirror(e.left), _mirror(e.right))
+
+
+class TestNodeProtocol:
+    def test_repr_text(self):
+        assert repr(ast("x + -y*sqrt(z)")) == (
+            "Binary(op='+', left=Var(name='x'), right=Binary(op='*', "
+            "left=Unary(op='neg', child=Var(name='y')), "
+            "right=Unary(op='sqrt', child=Var(name='z'))))"
+        )
+
+    @given(_exprs(), _exprs())
+    def test_matches_dataclass_methods(self, a, b):
+        assert repr(a) == repr(_mirror(a))
+        assert (a == b) == (_mirror(a) == _mirror(b))
+        assert (a != b) == (_mirror(a) != _mirror(b))
+        copy = parse(to_source(a))[0]
+        assert copy == a and hash(copy) == hash(a)
+
+    def test_foreign_operands(self):
+        assert Var("x") != "x"
+        assert Var("x") != Unary("neg", Var("x"))
+        assert Unary("neg", Var("x")) != Unary("abs", Var("x"))
+        assert Binary("+", Var("x"), Var("y")) != Binary("+", Var("x"), Var("z"))
+        assert len({Var("x"), Var("x"), Unary("neg", Var("x"))}) == 2

@@ -1,6 +1,9 @@
 """Interval type and the relational operation tables."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import struct
 from decimal import Decimal
 from fractions import Fraction
@@ -34,7 +37,7 @@ from relival.interval import (
     subset,
     width,
 )
-from relival.rounding import MAX_FLOAT, mul_down, mul_up, next_down, next_up
+from relival.rounding import MAX_FLOAT, mul_down, mul_up, next_down, next_up, round_down, round_up
 
 INF = math.inf
 
@@ -128,6 +131,108 @@ class TestConstruction:
         assert not Interval(1.0, INF).is_bounded
         assert not REALS.is_bounded
         assert EMPTY.is_bounded
+
+
+def reference_bounds(lo, hi, is_empty=False):
+    """The constructor's rules written out plainly, as an oracle:
+    non-float bounds round outward, NaN is rejected, a truthy flag or
+    reversed or impossible bounds give the empty set, -0.0 becomes 0.0."""
+    if type(lo) is not float:
+        lo = float(round_down(lo))
+    if type(hi) is not float:
+        hi = float(round_up(hi))
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError("interval bounds cannot be NaN")
+    if is_empty or lo > hi or lo == INF or hi == -INF:
+        return INF, -INF, True
+    if lo == 0.0:
+        lo = 0.0
+    if hi == 0.0:
+        hi = 0.0
+    return lo, hi, False
+
+
+def outcome(make, *args):
+    # repr tells -0.0 from 0.0; a rejected input compares by exception type
+    try:
+        return repr(make(*args))
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def built_bounds(*args):
+    iv = Interval(*args)
+    assert type(iv.is_empty) is bool
+    return iv.lo, iv.hi, iv.is_empty
+
+
+special_floats = st.sampled_from(
+    [0.0, -0.0, INF, -INF, math.nan, MAX_FLOAT, -MAX_FLOAT, 5e-324, -5e-324]
+)
+any_float = st.floats() | special_floats
+descriptors = (
+    st.integers(-(2**70), 2**70)
+    | st.fractions()
+    | any_float.map(str)
+    | st.sampled_from(["0.1", "-0", "1e400", "-1e400", "inf", "-inf", "nan", "spam", ""])
+)
+flags = st.sampled_from([False, True, 0, 1, 0.0, 2.5, "", "yes", None, (), (0,)])
+
+
+class TestConstructorDifferential:
+    @given(any_float, any_float, st.booleans())
+    def test_float_bounds(self, lo, hi, swap):
+        if swap:
+            lo, hi = hi, lo
+        assert outcome(built_bounds, lo, hi) == outcome(reference_bounds, lo, hi)
+
+    @given(any_float | descriptors, any_float | descriptors, flags)
+    def test_descriptors_and_flags(self, lo, hi, flag):
+        assert outcome(built_bounds, lo, hi, flag) == outcome(reference_bounds, lo, hi, flag)
+
+    def test_edge_grid(self):
+        edges = [0.0, -0.0, 1.0, -1.0, INF, -INF, math.nan, 5e-324, MAX_FLOAT,
+                 0, "-0.0", Fraction(-1, 3)]
+        for lo in edges:
+            for hi in edges:
+                for flag in (False, True, 0, 1, None):
+                    expected = outcome(reference_bounds, lo, hi, flag)
+                    assert outcome(built_bounds, lo, hi, flag) == expected
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Interval(-0.5, 2.0),
+            Interval("0.1", Fraction(1, 3)),
+            EMPTY,
+            REALS,
+            Interval(0.0, INF),
+            Box((Interval(0, 1), EMPTY, Interval(-INF, 3))),
+            Box(()),
+        ],
+        ids=repr,
+    )
+    def test_pickle_and_deepcopy_round_trip(self, value):
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(back) is type(value)
+            assert back == value
+            assert repr(back) == repr(value)
+            assert hash(back) == hash(value)
+
+    def test_values_are_slotted_and_frozen(self):
+        iv, box = Interval(1.0, 2.0), Box((Interval(1.0, 2.0),))
+        assert not hasattr(iv, "__dict__") and not hasattr(box, "__dict__")
+        for attr in ("lo", "hi", "is_empty"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(iv, attr, 0.0)
+        # no slot to hold it; CPython's generated __setattr__ raises TypeError here
+        with pytest.raises((AttributeError, TypeError)):
+            iv.other = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del iv.lo
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.dims = ()
+        assert (iv.lo, iv.hi, iv.is_empty) == (1.0, 2.0, False)
 
 
 class TestPredicates:
