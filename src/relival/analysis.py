@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# variable_sequence and hull_union go unused here: the benchmark tracer patches
+# each of these names in this module's namespace, so each must stay bound
 from .expr import Expr, variable_sequence
-# hull_union goes unused here: the benchmark tracer patches each of these
-# names in this module's namespace, so each must stay bound
 from .interval import Box, Interval, hull_union, member, midpoint, subset, width
-from .semantics import Interpretation, compile_interval, compile_real
+from .semantics import Interpretation, _check_arity, compile_interval, compile_real
 
 __all__ = [
     "RefinementSequence",
@@ -129,12 +129,7 @@ def check_convergence(
     ValueError otherwise.  Convergence means the final width is within
     ``tol`` and the target's true value stayed inside every step.
     """
-    names = variable_sequence(e)
-    if seq.boxes[0].arity != len(names):
-        raise ValueError(
-            f"arity mismatch: expression takes {len(names)} argument(s), "
-            f"sequence has {seq.boxes[0].arity}"
-        )
+    _check_arity(e, seq.boxes[0].arity)
     v = compile_real(e, interp)(seq.target)
     if v is None:
         raise ValueError("expression is undefined at the target point")
@@ -204,12 +199,7 @@ def subdivide_enclosure(
     The reported widths never increase, and the final enclosure is never
     wider than evaluating the original box directly.
     """
-    names = variable_sequence(e)
-    if box.arity != len(names):
-        raise ValueError(
-            f"arity mismatch: expression takes {len(names)} argument(s), "
-            f"box has {box.arity}"
-        )
+    _check_arity(e, box.arity)
     if box.is_empty:
         raise ValueError("subdivision needs a nonempty box")
     if not box.is_bounded:

@@ -8,9 +8,10 @@ Four subcommands over the same expression/box plumbing:
 * ``check``   sample points and count inclusion violations
 
 The token after a value-taking option is always its value, so
-``--at -1,2`` works like ``--at=-1,2``.  An expression that starts with
-``-`` is still read as an option: write it as ``(-x)``, or put it after
-``--`` following the options.
+``--at -1,2`` works like ``--at=-1,2``; option names are not
+abbreviated.  An expression that starts with ``-`` is still read as an
+option: write it as ``(-x)``, or put it after ``--`` following the
+options.
 
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
 1 check found violations, 2 expression/literal parse error or a count
@@ -22,6 +23,7 @@ rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -225,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="relival",
         description="Interval evaluation of arithmetic expressions with "
         "outward rounding and total relational division and roots.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -249,12 +252,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--json", action="store_true", help="emit one JSON object")
 
-    p_eval = sub.add_parser("eval", parents=[common], help="evaluate over the bound box")
+    # every parser takes only full option names, which are the names glued to values
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
+
+    p_eval = add("eval", help="evaluate over the bound box")
     p_eval.set_defaults(fn=_cmd_eval)
 
-    p_refine = sub.add_parser(
-        "refine", parents=[common], help="halve the box toward a point and test convergence"
-    )
+    p_refine = add("refine", help="halve the box toward a point and test convergence")
     p_refine.add_argument("--at", required=True, metavar="v1,v2,...",
                           help="target point, one value per variable in first-use order")
     p_refine.add_argument("--steps", type=int, default=40,
@@ -263,17 +267,13 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="final width tolerance (default 1e-9)")
     p_refine.set_defaults(fn=_cmd_refine)
 
-    p_enc = sub.add_parser(
-        "enclose", parents=[common], help="subdivision enclosure at a tolerance"
-    )
+    p_enc = add("enclose", help="subdivision enclosure at a tolerance")
     p_enc.add_argument("--tol", type=float, required=True, help="leaf box width tolerance")
     p_enc.add_argument("--max-boxes", type=int, default=4096, dest="max_boxes",
                        help="box budget (default 4096)")
     p_enc.set_defaults(fn=_cmd_enclose)
 
-    p_chk = sub.add_parser(
-        "check", parents=[common], help="sample points and count inclusion violations"
-    )
+    p_chk = add("check", help="sample points and count inclusion violations")
     p_chk.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
     p_chk.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p_chk.set_defaults(fn=_cmd_check)
@@ -287,8 +287,9 @@ def _join_option_values(argv, parser) -> list:
     ``["--at", "-1,2"]`` becomes ``["--at=-1,2"]``, which argparse reads
     as a value; left apart, argparse would read a value that starts with
     ``-`` (other than a plain negative number) as an option.  The options
-    glued are those of ``parser``'s subcommands that take one value;
-    abbreviated option names are left to argparse.
+    glued are those of ``parser``'s subcommands that take one value.  No
+    parser accepts an abbreviated option name, so the names glued are
+    exactly the names accepted.
     """
     sub = next(a for a in parser._actions if a.dest == "command")
     takes_value = {

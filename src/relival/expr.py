@@ -53,33 +53,10 @@ class Expr:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if isinstance(a, Binary):
-                if a.op != b.op:
-                    return False
-                pairs.append((a.right, b.right))
-                pairs.append((a.left, b.left))
-            elif isinstance(a, Unary):
-                if a.op != b.op:
-                    return False
-                pairs.append((a.child, b.child))
-            elif a.name != b.name:
-                return False
-        return True
+        return _key(self) == _key(other)
 
     def __hash__(self):
-        return _fold(
-            self,
-            lambda v: hash((v.name,)),
-            lambda u, child: hash((u.op, child)),
-            lambda b, left, right: hash((b.op, left, right)),
-        )
+        return hash(_key(self))
 
     def __repr__(self):
         # pieces come off the stack in reading order: nodes open, strings close
@@ -275,6 +252,11 @@ def _fold(e: Expr, var, unary, binary):
         else:
             values.append(var(node))
     return values[0]
+
+
+def _key(e: Expr) -> tuple:
+    # each node type has a fixed arity, so the post-order labels determine the tree
+    return tuple((type(n), n.name if isinstance(n, Var) else n.op) for n in _postorder(e))
 
 
 def to_source(e: Expr) -> str:

@@ -17,15 +17,19 @@ be committed and replayed.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .expr import Binary, Expr, Unary, Var, occurs_once, parse, to_source, variable_sequence
+from .expr import (
+    Binary, Expr, Unary, Var, _fold, _postorder, occurs_once, parse, to_source, variable_sequence
+)
 from .interval import Box, Interval, member, parse_box
-from .semantics import Interpretation, compile_real, eval_interval
+from .semantics import Interpretation, _box_dims, compile_real, eval_interval
 
 __all__ = [
     "RationalInterval",
@@ -98,15 +102,13 @@ RATIONAL_EMPTY = RationalInterval(None, None, is_empty=True)
 RATIONAL_REALS = RationalInterval(None, None)
 
 
+# exact binary corner operations, shared by the relational and corner oracles
+_CORNER_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def _require_bounded(iv: Interval, side: str):
     if not iv.is_empty and not iv.is_bounded:
         raise ValueError(f"oracle needs bounded operands; {side} is unbounded")
-
-
-def _corners2(x: Interval, y: Interval):
-    xs = {Fraction(x.lo), Fraction(x.hi)}
-    ys = {Fraction(y.lo), Fraction(y.hi)}
-    return xs, ys
 
 
 def _sqrt_bracket(q: Fraction, bits: int = 200):
@@ -171,18 +173,11 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None, grid: i
         _require_bounded(y, "the second operand")
     if x.is_empty or (y is not None and y.is_empty):
         return RATIONAL_EMPTY
-    if op == "+":
-        xs, ys = _corners2(x, y)
-        vals = [a + b for a in xs for b in ys]
-        return RationalInterval(min(vals), max(vals))
-    if op == "-":
-        # z + y = x, so z ranges over corner differences
-        xs, ys = _corners2(x, y)
-        vals = [a - b for a in xs for b in ys]
-        return RationalInterval(min(vals), max(vals))
-    if op == "*":
-        xs, ys = _corners2(x, y)
-        vals = [a * b for a in xs for b in ys]
+    if op in _CORNER_BINARY:
+        # for "-", z + y = x, so z ranges over corner differences
+        f = _CORNER_BINARY[op]
+        xs, ys = (Fraction(x.lo), Fraction(x.hi)), (Fraction(y.lo), Fraction(y.hi))
+        vals = [f(a, b) for a in xs for b in ys]
         return RationalInterval(min(vals), max(vals))
     if op == "/":
         return _div_oracle(x, y, grid)
@@ -214,29 +209,20 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None, grid: i
     raise ValueError(f"no oracle for operation {op!r}")
 
 
-_CORNER_OPS = {"+", "-", "*", "neg"}
+_CORNER_OPS = {*_CORNER_BINARY, "neg"}
 
 
 def _corner_ops_only(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Unary):
-        return e.op in _CORNER_OPS and _corner_ops_only(e.child)
-    return e.op in _CORNER_OPS and _corner_ops_only(e.left) and _corner_ops_only(e.right)
+    return all(n.op in _CORNER_OPS for n in _postorder(e) if not isinstance(n, Var))
 
 
 def _exact_eval(e: Expr, env: dict) -> Fraction:
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Unary):
-        return -_exact_eval(e.child, env)
-    a = _exact_eval(e.left, env)
-    b = _exact_eval(e.right, env)
-    if e.op == "+":
-        return a + b
-    if e.op == "-":
-        return a - b
-    return a * b
+    return _fold(
+        e,
+        lambda v: env[v.name],
+        lambda u, child: -child,
+        lambda b, left, right: _CORNER_BINARY[b.op](left, right),
+    )
 
 
 def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
@@ -250,35 +236,21 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
         raise ValueError("corner oracle needs each variable in a single leaf")
     if not _corner_ops_only(e):
         raise ValueError("corner oracle covers only + - * neg")
-    names = variable_sequence(e)
-    dims = tuple(box.dims) if isinstance(box, Box) else tuple(box)
-    if len(dims) != len(names):
-        raise ValueError("box arity does not match the expression")
-    for d in dims:
+    choices = []
+    for d in _box_dims(e, box):
         if d.is_empty or not d.is_bounded:
             raise ValueError("corner oracle needs bounded nonempty coordinates")
-    choices = []
-    for d in dims:
         lo, hi = Fraction(d.lo), Fraction(d.hi)
         choices.append((lo,) if lo == hi else (lo, hi))
+    names = variable_sequence(e)
     best_lo = best_hi = None
-    for corner in _product(choices):
+    for corner in itertools.product(*choices):
         v = _exact_eval(e, dict(zip(names, corner)))
         if best_lo is None or v < best_lo:
             best_lo = v
         if best_hi is None or v > best_hi:
             best_hi = v
     return RationalInterval(best_lo, best_hi)
-
-
-def _product(choices):
-    if not choices:
-        yield ()
-        return
-    head, *rest = choices
-    for v in head:
-        for tail in _product(rest):
-            yield (v,) + tail
 
 
 def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1000, seed: int = 0) -> int:
@@ -288,13 +260,13 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     undefined are skipped.  Zero is the expected answer for any sound
     interpretation.
     """
-    dims = tuple(box.dims) if isinstance(box, Box) else tuple(box)
+    dims = _box_dims(e, box)
     if any(d.is_empty for d in dims):
         return 0
     for d in dims:
         if not d.is_bounded:
             raise ValueError("inclusion sampling needs a bounded box")
-    iv = eval_interval(e, interp, dims)
+    iv = eval_interval(e, interp, box)
     rfn = compile_real(e, interp)
     bounds = [(d.lo, d.hi) for d in dims]
     u = random.Random(seed).uniform

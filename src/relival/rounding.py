@@ -81,23 +81,18 @@ def _exact_value(x) -> "Fraction | float":
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        try:
+            # Decimal first: parses scientific notation and infinities exactly
+            x = Decimal(x)
+        except InvalidOperation:
+            return Fraction(x)  # "3/10" style; raises ValueError on junk
     if isinstance(x, Decimal):
         if x.is_nan():
             raise ValueError("NaN is not a real value")
         if x.is_infinite():
             return math.inf if x > 0 else -math.inf
         return Fraction(x)
-    if isinstance(x, str):
-        s = x.strip().lower()
-        if s in ("inf", "+inf", "infinity", "+infinity"):
-            return math.inf
-        if s in ("-inf", "-infinity"):
-            return -math.inf
-        try:
-            # Decimal first: parses scientific notation exactly.
-            return Fraction(Decimal(s))
-        except InvalidOperation:
-            return Fraction(s)  # "3/10" style; raises ValueError on junk
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact real")
 
 
@@ -106,8 +101,6 @@ def _fraction_down(q: Fraction) -> float:
         f = float(q)
     except OverflowError:
         return MAX_FLOAT if q > 0 else -math.inf
-    if math.isinf(f):
-        return MAX_FLOAT if f > 0 else f
     if Fraction(f) > q:
         return next_down(f)
     return f
@@ -118,8 +111,6 @@ def _fraction_up(q: Fraction) -> float:
         f = float(q)
     except OverflowError:
         return math.inf if q > 0 else -MAX_FLOAT
-    if math.isinf(f):
-        return f if f > 0 else -MAX_FLOAT
     if Fraction(f) < q:
         return next_up(f)
     return f

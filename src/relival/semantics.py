@@ -278,11 +278,15 @@ def eval_real(e: Expr, interp: Interpretation, point) -> RealResult:
     return UNDEFINED if v is None else RealResult.defined(v)
 
 
+def _box_dims(e: Expr, box) -> tuple:
+    """Coordinates of ``box`` (a ``Box`` or any sequence of intervals),
+    checked by ``Box`` and against the arity of ``e``."""
+    if not isinstance(box, Box):
+        box = Box(box)
+    _check_arity(e, len(box.dims))
+    return box.dims
+
+
 def eval_interval(e: Expr, interp: Interpretation, box) -> Interval:
     """Evaluate over a box (a ``Box`` or any sequence of intervals)."""
-    dims = tuple(box.dims) if isinstance(box, Box) else tuple(box)
-    _check_arity(e, len(dims))
-    for d in dims:
-        if not isinstance(d, Interval):
-            raise TypeError("box coordinates must be intervals")
-    return compile_interval(e, interp)(dims)
+    return compile_interval(e, interp)(_box_dims(e, box))

@@ -310,6 +310,7 @@ class TestLeadingDashValues:
             (("eval", "x", "--var", "x=[0,1]", "--var", "-y=[0,1]"), 3,
              "unknown variable(s): -y"),
             (("eval", "x", "--var", "-[0,1]"), 2, "--var needs NAME=[lo,hi]"),
+            (("refine", "x", "--var", "x=[0,1]", "--at", "-x"), 2, "bad --at value"),
         ],
     )
     def test_value_reaches_its_check(self, capsys, argv, code, message):
@@ -339,6 +340,21 @@ class TestLeadingDashValues:
         code, out, err = run_any(("eval", "--", "--tol", "1"))
         assert (code, out) == (2, "")
         assert "unrecognized arguments: 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("refine", "x", "--var", "x=[-1,1]", "--a", "0.5"), "required: --at"),
+            (("refine", "x", "--var", "x=[-1,1]", "--a", "-0.5e0"), "required: --at"),
+            (("refine", "x", "--var", "x=[-1,1]", "--at=0.5", "--ste", "-1_0"),
+             "unrecognized arguments: --ste -1_0"),
+        ],
+    )
+    def test_abbreviated_option_exit_two(self, argv, message):
+        # only full names are accepted, and those are the names glued to their values
+        code, out, err = run_any(argv)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_option_without_a_value(self):
         code, out, err = run_any(("refine", "x", "--var", "x=[0,1]", "--at"))

@@ -10,7 +10,8 @@ import pytest
 
 from relival.cli import main
 from relival.expr import depth, occurs_once, parse, to_source, variable_sequence
-from relival.interval import Interval, format_interval, parse_interval
+from relival.interval import Box, Interval, format_interval, parse_interval
+from relival.oracle import corner_range_oracle
 from relival.semantics import RealResult, default_interpretation, eval_interval, eval_real
 
 N = 10_000
@@ -85,6 +86,13 @@ def test_evaluates(shape):
     box = tuple(parse_interval(f.partition("=")[2]) for f in flags)
     assert eval_interval(e, interp, box) == expected
     assert eval_real(e, interp, point) == RealResult.defined(value)
+
+
+def test_corner_oracle_on_a_long_sum():
+    # single-occurrence, so the corner oracle accepts it; one corner per degenerate box
+    e, _ = parse(" + ".join(f"v{i}" for i in range(3000)))
+    got = corner_range_oracle(e, Box((Interval(1, 1),) * 3000))
+    assert (got.lo, got.hi, got.is_empty) == (3000, 3000, False)
 
 
 def test_cli_eval(shape, capsys):

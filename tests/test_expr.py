@@ -260,3 +260,5 @@ class TestNodeProtocol:
         assert Unary("neg", Var("x")) != Unary("abs", Var("x"))
         assert Binary("+", Var("x"), Var("y")) != Binary("+", Var("x"), Var("z"))
         assert len({Var("x"), Var("x"), Unary("neg", Var("x"))}) == 2
+        # a variable may be called neg: only the node type tells it from a negation
+        assert ast("x + -neg") != ast("-x + neg")

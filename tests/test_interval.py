@@ -293,6 +293,9 @@ class TestWidthMidpoint:
         assert midpoint(Interval(1, 3)) == 2.0
         assert midpoint(Interval.point(7.0)) == 7.0
         assert midpoint(Interval(-MAX_FLOAT, MAX_FLOAT)) == 0.0
+        # halving the smallest subnormal gives 0, outside the interval
+        assert midpoint(Interval(5e-324, 5e-324)) == 5e-324
+        assert midpoint(Interval(-5e-324, -5e-324)) == -5e-324
 
     def test_midpoint_errors(self):
         with pytest.raises(ValueError):
@@ -622,6 +625,7 @@ class TestBox:
         inner = Box((Interval(1, 2), Interval(0, 1)))
         assert inner.is_subset_of(outer)
         assert not outer.is_subset_of(inner)
+        assert Box((Interval(5, 6), EMPTY)).is_subset_of(outer)
         with pytest.raises(ValueError):
             inner.is_subset_of(Box((Interval(0, 1),)))
 

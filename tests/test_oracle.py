@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from relival.expr import parse, to_source, variable_sequence
-from relival.interval import Box, Interval, div, mul, sqrt_rel, subset
+from relival.interval import EMPTY, Box, Interval, div, mul, sqrt_canonical, sqrt_rel, subset
 from relival.oracle import (
     RATIONAL_EMPTY,
     RATIONAL_REALS,
@@ -42,6 +42,9 @@ class TestRationalInterval:
         r = RationalInterval.bounded("1/3", "2/3")
         assert r.lo == Fraction(1, 3) and r.hi == Fraction(2, 3)
         assert not r.is_empty
+        assert not r.contains(1)
+        with pytest.raises(ValueError):
+            RationalInterval.bounded(1, 0)
 
     def test_half_line(self):
         r = RationalInterval(Fraction(0), None)
@@ -58,6 +61,7 @@ class TestRationalInterval:
     def test_from_interval_is_exact(self):
         r = RationalInterval.from_interval(Interval(0.1, 0.2))
         assert r.lo == Fraction(0.1) and r.hi == Fraction(0.2)
+        assert RationalInterval.from_interval(EMPTY) is RATIONAL_EMPTY
 
     def test_from_interval_unbounded(self):
         r = RationalInterval.from_interval(Interval(0, INF))
@@ -68,6 +72,9 @@ class TestRationalInterval:
         assert r.is_inside(Interval(-0.5, 1.5))
         assert r.is_inside(Interval(0, 1))
         assert not r.is_inside(Interval(0.25, 1))
+        assert not r.is_inside(Interval(0, 0.75))
+        assert not r.is_inside(EMPTY)
+        assert not RationalInterval(Fraction(0), None).is_inside(Interval(-1, 5))
         assert RATIONAL_EMPTY.is_inside(Interval(5, 5))
         assert not RATIONAL_REALS.is_inside(Interval(0, 1))
         assert RATIONAL_REALS.is_inside(Interval(-INF, INF))
@@ -117,6 +124,19 @@ class TestRelationalOracle:
     def test_sqrt_image_exact_on_perfect_squares(self):
         got = relational_oracle("sqrt", Interval(0.25, 2.25))
         assert (got.lo, got.hi) == (Fraction(1, 2), Fraction(3, 2))
+        # a range reaching down to zero or below starts at the root of zero
+        got = relational_oracle("sqrt", Interval(-1, 4))
+        assert (got.lo, got.hi) == (Fraction(0), Fraction(2))
+
+    def test_sqrt_of_non_squares_is_an_inner_bracket(self):
+        # sqrt(2) and sqrt(3) are irrational: each bound sits less than 2**-199 inside
+        got = relational_oracle("sqrt", Interval(2, 3))
+        gap = Fraction(1, 2**199)
+        assert (got.lo - gap) ** 2 < 2 <= got.lo**2
+        assert got.hi**2 <= 3 < (got.hi + gap) ** 2
+        assert got.is_inside(sqrt_canonical(Interval(2, 3)))
+        got = relational_oracle("sqrtr", Interval(0, 2))
+        assert got.lo == -got.hi and got.hi**2 <= 2 < (got.hi + gap) ** 2
 
     def test_sqrt_relational_both_branches(self):
         got = relational_oracle("sqrtr", Interval(4, 9))
@@ -132,6 +152,10 @@ class TestRelationalOracle:
         assert (got.lo, got.hi) == (Fraction(-2), Fraction(1))
         got = relational_oracle("abs", Interval(-3, 1))
         assert (got.lo, got.hi) == (Fraction(0), Fraction(3))
+        got = relational_oracle("abs", Interval(1, 3))
+        assert (got.lo, got.hi) == (Fraction(1), Fraction(3))
+        got = relational_oracle("abs", Interval(-3, -1))
+        assert (got.lo, got.hi) == (Fraction(1), Fraction(3))
 
     def test_unbounded_operand_rejected(self):
         with pytest.raises(ValueError):

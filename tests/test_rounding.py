@@ -70,6 +70,11 @@ class TestRoundValue:
             round_down(math.nan)
         with pytest.raises(ValueError):
             round_up(float("nan"))
+        for text in ("nan", "NaN"):
+            with pytest.raises(ValueError):
+                round_down(Decimal(text))
+            with pytest.raises(ValueError):
+                round_up(text)
 
     def test_decimal_and_string_literals(self):
         # 3/10 sits just above the nearest float, which prints as 0.3
@@ -90,6 +95,9 @@ class TestRoundValue:
     def test_infinite_strings(self):
         assert round_down("inf") == math.inf
         assert round_up("-inf") == -math.inf
+        assert round_down(" +Infinity ") == math.inf
+        assert round_down(Decimal("-Infinity")) == -math.inf
+        assert round_up(Decimal("inf")) == math.inf
 
     def test_overflow_saturates_inward_on_the_down_side(self):
         big = Fraction(2) ** 1024
@@ -110,6 +118,8 @@ class TestRoundValue:
             round_down("spam")
         with pytest.raises(TypeError):
             round_down([1])
+        with pytest.raises(TypeError):
+            round_up(True)
 
     @given(st.fractions(min_value=-10**40, max_value=10**40))
     def test_bracket_property(self, q):

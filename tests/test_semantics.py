@@ -92,6 +92,7 @@ class TestRealResult:
     def test_undefined_singleton(self):
         assert not UNDEFINED.is_defined
         assert UNDEFINED.value is None
+        assert repr(UNDEFINED) == "Undefined"
 
     def test_defined_rejects_nonfinite(self):
         with pytest.raises(ValueError):
