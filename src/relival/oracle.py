@@ -141,12 +141,11 @@ def _div_oracle(x: Interval, y: Interval, grid: int) -> RationalInterval:
     ys = [v for v in (ylo, yhi) if v != 0]
     candidates = [a / b for a in xs for b in ys]
     if grid > 1:
-        for i in range(grid + 1):
-            a = xlo + (xhi - xlo) * Fraction(i, grid)
-            for j in range(grid + 1):
-                b = ylo + (yhi - ylo) * Fraction(j, grid)
-                if b != 0:
-                    candidates.append(a / b)
+        steps = [Fraction(i, grid) for i in range(grid + 1)]
+        divisors = [b for b in (ylo + (yhi - ylo) * t for t in steps) if b != 0]
+        for t in steps:
+            a = xlo + (xhi - xlo) * t
+            candidates.extend(a / b for b in divisors)
     # an endpoint at zero with the other side nonzero still witnesses z=0
     if zero_in_x:
         candidates.append(Fraction(0))
