@@ -4,9 +4,10 @@ An ``Interval`` is a closed connected set of reals: the empty set, a
 bounded ``[lo, hi]``, a ray, or the whole line.  An infinite bound records
 the absence of a constraint on that side; the infinities themselves are
 never members.  ``Box`` is an ordered tuple of intervals with
-coordinatewise membership.  Both are slotted frozen dataclasses: every
-operation returns a fresh value built through the one constructor, so
-construction is kept cheap.
+coordinatewise membership.  Both are slotted frozen dataclasses with one
+validating constructor.  Each operation is written once, as a kernel on
+bare ``(lo, hi)`` float pairs; its public function unboxes the operands
+and boxes the kernel's pair, and box tapes run the kernels directly.
 
 Arithmetic follows the relational reading: ``X op Y`` is the tightest
 representable interval around every ``z`` for which witnesses ``x in X``
@@ -80,8 +81,8 @@ class Interval:
     names.  It normalizes: reversed bounds (lo > hi) denote the empty
     set, as do impossible ones (lo = +inf or hi = -inf, since the
     infinities are not members).  Emptiness is carried by the ``is_empty``
-    flag; on the empty interval the stored bounds are inert placeholders
-    that no operation consults.
+    flag and by the stored bounds, always ``(inf, -inf)`` on the empty
+    interval: the kernels and predicates read emptiness from them.
     """
 
     lo: float
@@ -123,9 +124,7 @@ class Interval:
     @property
     def is_bounded(self) -> bool:
         """True when both bounds are finite (vacuously true on empty)."""
-        if self.is_empty:
-            return True
-        return self.lo > -math.inf and self.hi < math.inf
+        return self.lo > -math.inf and self.hi < math.inf  # so are (inf, -inf)
 
     @property
     def is_degenerate(self) -> bool:
@@ -134,24 +133,6 @@ class Interval:
 
     def __contains__(self, value: float) -> bool:
         return member(value, self)
-
-    def __neg__(self) -> "Interval":
-        return neg(self)
-
-    def __abs__(self) -> "Interval":
-        return absolute(self)
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return add(self, other)
-
-    def __sub__(self, other: "Interval") -> "Interval":
-        return sub(self, other)
-
-    def __mul__(self, other: "Interval") -> "Interval":
-        return mul(self, other)
-
-    def __truediv__(self, other: "Interval") -> "Interval":
-        return div(self, other)
 
     def __str__(self) -> str:
         return format_interval(self)
@@ -186,34 +167,24 @@ def hull_bounds(lo=None, hi=None) -> Interval:
 
 def hull_union(x: Interval, y: Interval) -> Interval:
     """Smallest interval containing both arguments."""
-    if x.is_empty:
-        return y
-    if y.is_empty:
-        return x
+    # the empty bounds (inf, -inf) are the identity of min/max
     return Interval(min(x.lo, y.lo), max(x.hi, y.hi))
 
 
 def member(value: float, x: Interval) -> bool:
     """Set membership; non-reals (NaN and the infinities) never belong."""
-    if x.is_empty or not math.isfinite(value):
-        return False
-    return x.lo <= value <= x.hi
+    return math.isfinite(value) and x.lo <= value <= x.hi  # false on (inf, -inf)
 
 
 def subset(x: Interval, y: Interval) -> bool:
     """True when every member of ``x`` belongs to ``y``."""
-    if x.is_empty:
-        return True
-    if y.is_empty:
-        return False
+    # the empty bounds (inf, -inf) lie inside every pair and contain none
     return y.lo <= x.lo and x.hi <= y.hi
 
 
 def intersects(x: Interval, y: Interval) -> bool:
     """True when the two sets share at least one point."""
-    if x.is_empty or y.is_empty:
-        return False
-    return x.lo <= y.hi and y.lo <= x.hi
+    return max(x.lo, y.lo) <= min(x.hi, y.hi)  # the pair of their intersection
 
 
 def width(x: Interval) -> float:
@@ -237,18 +208,118 @@ def midpoint(x: Interval) -> float:
     return m
 
 
+# Kernels: each returns (inf, -inf) for the empty set, else float bounds with
+# lo <= hi, lo != inf and hi != -inf, so lo > hi alone tells an empty operand.
+# A -0.0 bound may pass through: no kernel tells it from 0.0 (sign classes use
+# >= and <=, and no zero divisor reaches div_down or div_up).
+_EMPTY_PAIR = (_INF, _NINF)
+_REALS_PAIR = (_NINF, _INF)
+
+
+def _add(x, y):
+    (a, b), (c, d) = x, y
+    if a > b or c > d:
+        return _EMPTY_PAIR
+    return add_down(a, c), add_up(b, d)
+
+
+def _sub(x, y):
+    (a, b), (c, d) = x, y
+    if a > b or c > d:
+        return _EMPTY_PAIR
+    return sub_down(a, d), sub_up(b, c)
+
+
+def _mul(x, y):
+    (a, b), (c, d) = x, y
+    if a > b or c > d:
+        return _EMPTY_PAIR
+    if a >= 0.0:
+        if c >= 0.0:
+            return mul_down(a, c), mul_up(b, d)
+        if d <= 0.0:
+            return mul_down(b, c), mul_up(a, d)
+        return mul_down(b, c), mul_up(b, d)
+    if b <= 0.0:
+        if c >= 0.0:
+            return mul_down(a, d), mul_up(b, c)
+        if d <= 0.0:
+            return mul_down(b, d), mul_up(a, c)
+        return mul_down(a, d), mul_up(a, c)
+    if c >= 0.0:
+        return mul_down(a, d), mul_up(b, d)
+    if d <= 0.0:
+        return mul_down(b, c), mul_up(a, c)
+    return min(mul_down(a, d), mul_down(b, c)), max(mul_up(a, c), mul_up(b, d))
+
+
+def _div_by_positive(a, b, c, d):
+    # hull of {u / v : u in [a, b], v in [c, d], v > 0}; requires d > 0
+    if c <= 0.0:
+        # divisors reach arbitrarily close to zero from above
+        lo = _NINF if a < 0 else (0.0 if a == 0 else div_down(a, d))
+        hi = _INF if b > 0 else (0.0 if b == 0 else div_up(b, d))
+        return lo, hi
+    lo = div_down(a, c) if a < 0 else div_down(a, d)
+    hi = div_up(b, c) if b > 0 else div_up(b, d)
+    return lo, hi
+
+
+def _div_canonical(x, y):
+    (a, b), (c, d) = x, y
+    if a > b or c > d:
+        return _EMPTY_PAIR
+    lo, hi = _EMPTY_PAIR
+    if d > 0:
+        lo, hi = _div_by_positive(a, b, c, d)
+    if c < 0:
+        # negative divisors, reflected: {u/v : v<0} = {(-u)/(-v) : -v>0}
+        nlo, nhi = _div_by_positive(-b, -a, -d if d < 0 else 0.0, -c)
+        lo, hi = min(lo, nlo), max(hi, nhi)
+    return lo, hi
+
+
+def _div(x, y):
+    if x[0] <= 0.0 <= x[1] and y[0] <= 0.0 <= y[1]:
+        return _REALS_PAIR
+    return _div_canonical(x, y)
+
+
+def _sqrt_rel(x):
+    if x[1] < 0:  # the empty pair's hi is -inf
+        return _EMPTY_PAIR
+    r = sqrt_up(x[1])
+    return -r, r
+
+
+def _sqrt_canonical(x):
+    if x[1] < 0:  # the empty pair's hi is -inf
+        return _EMPTY_PAIR
+    return (sqrt_down(x[0]) if x[0] > 0 else 0.0), sqrt_up(x[1])
+
+
+def _neg(x):
+    # maps the empty pair to itself
+    return -x[1], -x[0]
+
+
+def _absolute(x):
+    a, b = x
+    if a >= 0:  # the empty pair included
+        return x
+    if b <= 0:
+        return -b, -a
+    return 0.0, max(b, -a)
+
+
 def add(x: Interval, y: Interval) -> Interval:
     """{z | x + y = z for some x in X, y in Y}, rounded outward."""
-    if x.is_empty or y.is_empty:
-        return EMPTY
-    return Interval(add_down(x.lo, y.lo), add_up(x.hi, y.hi))
+    return Interval(*_add((x.lo, x.hi), (y.lo, y.hi)))
 
 
 def sub(x: Interval, y: Interval) -> Interval:
     """{z | z + y = x for some x in X, y in Y}, rounded outward."""
-    if x.is_empty or y.is_empty:
-        return EMPTY
-    return Interval(sub_down(x.lo, y.hi), sub_up(x.hi, y.lo))
+    return Interval(*_sub((x.lo, x.hi), (y.lo, y.hi)))
 
 
 def mul(x: Interval, y: Interval) -> Interval:
@@ -261,39 +332,7 @@ def mul(x: Interval, y: Interval) -> Interval:
     endpoint annihilates an infinite one, which is exactly the set
     semantics ({0 * y} = {0}).
     """
-    if x.is_empty or y.is_empty:
-        return EMPTY
-    a, b, c, d = x.lo, x.hi, y.lo, y.hi
-    if a >= 0.0:
-        if c >= 0.0:
-            return Interval(mul_down(a, c), mul_up(b, d))
-        if d <= 0.0:
-            return Interval(mul_down(b, c), mul_up(a, d))
-        return Interval(mul_down(b, c), mul_up(b, d))
-    if b <= 0.0:
-        if c >= 0.0:
-            return Interval(mul_down(a, d), mul_up(b, c))
-        if d <= 0.0:
-            return Interval(mul_down(b, d), mul_up(a, c))
-        return Interval(mul_down(a, d), mul_up(a, c))
-    if c >= 0.0:
-        return Interval(mul_down(a, d), mul_up(b, d))
-    if d <= 0.0:
-        return Interval(mul_down(b, c), mul_up(a, c))
-    return Interval(min(mul_down(a, d), mul_down(b, c)), max(mul_up(a, c), mul_up(b, d)))
-
-
-def _div_by_positive(x: Interval, c: float, d: float) -> Interval:
-    # hull of {u / v : u in x, v in [c, d], v > 0}; requires d > 0
-    a, b = x.lo, x.hi
-    if c <= 0.0:
-        # divisors reach arbitrarily close to zero from above
-        lo = -math.inf if a < 0 else (0.0 if a == 0 else div_down(a, d))
-        hi = math.inf if b > 0 else (0.0 if b == 0 else div_up(b, d))
-        return Interval(lo, hi)
-    lo = div_down(a, c) if a < 0 else div_down(a, d)
-    hi = div_up(b, c) if b > 0 else div_up(b, d)
-    return Interval(lo, hi)
+    return Interval(*_mul((x.lo, x.hi), (y.lo, y.hi)))
 
 
 def div_canonical(x: Interval, y: Interval) -> Interval:
@@ -302,16 +341,7 @@ def div_canonical(x: Interval, y: Interval) -> Interval:
     Division by [0,0] gives the empty set; a divisor straddling zero
     splits into its sign parts and the two partial hulls are joined.
     """
-    if x.is_empty or y.is_empty:
-        return EMPTY
-    result = EMPTY
-    if y.hi > 0:
-        result = _div_by_positive(x, y.lo, y.hi)
-    if y.lo < 0:
-        # negative divisors, reflected: {u/v : v<0} = {(-u)/(-v) : -v>0}
-        vlo = -y.hi if y.hi < 0 else 0.0
-        result = hull_union(result, _div_by_positive(neg(x), vlo, -y.lo))
-    return result
+    return Interval(*_div_canonical((x.lo, x.hi), (y.lo, y.hi)))
 
 
 def div(x: Interval, y: Interval) -> Interval:
@@ -321,11 +351,7 @@ def div(x: Interval, y: Interval) -> Interval:
     z * 0 = 0 and the whole line comes back.  Otherwise the solution set
     coincides with the quotient image.
     """
-    if x.is_empty or y.is_empty:
-        return EMPTY
-    if member(0.0, x) and member(0.0, y):
-        return REALS
-    return div_canonical(x, y)
+    return Interval(*_div((x.lo, x.hi), (y.lo, y.hi)))
 
 
 def sqrt_rel(x: Interval) -> Interval:
@@ -333,36 +359,31 @@ def sqrt_rel(x: Interval) -> Interval:
 
     Empty when X is entirely negative; otherwise symmetric about zero.
     """
-    if x.is_empty or x.hi < 0:
-        return EMPTY
-    r = sqrt_up(x.hi)
-    return Interval(-r, r)
+    return Interval(*_sqrt_rel((x.lo, x.hi)))
 
 
 def sqrt_canonical(x: Interval) -> Interval:
     """Hull of {sqrt(x) : x in X, x >= 0}: the nonnegative branch only."""
-    if x.is_empty or x.hi < 0:
-        return EMPTY
-    lo = sqrt_down(x.lo) if x.lo > 0 else 0.0
-    return Interval(lo, sqrt_up(x.hi))
+    return Interval(*_sqrt_canonical((x.lo, x.hi)))
 
 
 def neg(x: Interval) -> Interval:
     """{-x : x in X}; exact, no rounding needed."""
-    if x.is_empty:
-        return EMPTY
-    return Interval(-x.hi, -x.lo)
+    return Interval(*_neg((x.lo, x.hi)))
 
 
 def absolute(x: Interval) -> Interval:
     """{|x| : x in X}; exact, no rounding needed."""
-    if x.is_empty:
-        return EMPTY
-    if x.lo >= 0:
-        return x
-    if x.hi <= 0:
-        return neg(x)
-    return Interval(0.0, max(x.hi, -x.lo))
+    return Interval(*_absolute((x.lo, x.hi)))
+
+
+# the operators of Interval values are the public operations
+Interval.__neg__, Interval.__abs__, Interval.__truediv__ = neg, absolute, div
+Interval.__add__, Interval.__sub__, Interval.__mul__ = add, sub, mul
+
+# the kernel of each public operation; box tapes in semantics run these
+_KERNELS = {add: _add, sub: _sub, mul: _mul, div: _div, div_canonical: _div_canonical,
+            sqrt_rel: _sqrt_rel, sqrt_canonical: _sqrt_canonical, neg: _neg, absolute: _absolute}
 
 
 def _format_bound(v: float) -> str:

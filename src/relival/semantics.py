@@ -14,6 +14,11 @@ it node by node, so ``x - x`` over [0,1] stays at [-1,1] (one witness
 per variable, chosen independently per side of the relation) rather
 than pretending the two sides are correlated.
 
+A box tape's slots hold bare ``(lo, hi)`` float pairs (empty:
+``(inf, -inf)``) and its public interval operations run as their
+``interval`` kernels: the leaves are unboxed once and the result is
+boxed once, by the constructor, which normalizes ``-0.0`` and emptiness.
+
 Point evaluation is strict about partiality: an undefined subterm makes
 the whole result undefined, and a defined result is always a finite
 float (overflow beyond the binary64 range counts as undefined).
@@ -27,17 +32,7 @@ from typing import Callable, Mapping
 
 from .expr import Expr, Unary, Var, _postorder, variable_sequence
 from .interval import (
-    Box,
-    Interval,
-    absolute,
-    add,
-    div,
-    div_canonical,
-    mul,
-    neg,
-    sqrt_canonical,
-    sqrt_rel,
-    sub,
+    _KERNELS, Box, Interval, absolute, add, div, div_canonical, mul, neg, sqrt_canonical, sqrt_rel, sub
 )
 
 __all__ = [
@@ -152,7 +147,12 @@ _INTERVAL_OPS_DEFAULT: "Mapping[str, Callable]" = {
 
 @dataclass(frozen=True, eq=False)
 class Interpretation:
-    """Symbol tables for evaluation; ``name`` tags the selected mode."""
+    """Symbol tables for evaluation; ``name`` tags the selected mode.
+
+    An interval operation may be any function on ``Interval`` values; one
+    that is not public in ``interval`` (a user's own) runs through an
+    adapter that boxes its arguments and unboxes its result on every call.
+    """
 
     real_ops: "Mapping[str, Callable]"
     interval_ops: "Mapping[str, Callable]"
@@ -245,15 +245,28 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
     return run
 
 
+def _kernel(f: Callable) -> Callable:
+    """``f``'s pair kernel, or ``f`` behind the boxing adapter."""
+    kernel = _KERNELS.get(f)
+    if kernel is not None:
+        return kernel
+
+    def boxed(*pairs):
+        r = f(*[Interval(lo, hi) for lo, hi in pairs])
+        return r.lo, r.hi
+
+    return boxed
+
+
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a box evaluator (tuple of intervals in)."""
-    n, ops = _bind(e, interp.interval_op)
+    n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
 
     def run(args):
-        s = list(args[:n])
+        s = [(d.lo, d.hi) for d in args[:n]]
         for f, a, b in ops:
             s.append(f(s[a]) if b < 0 else f(s[a], s[b]))
-        return s[-1]
+        return Interval(*s[-1])
 
     return run
 

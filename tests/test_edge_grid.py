@@ -6,12 +6,17 @@ normal 2**-1022, the two-product thresholds 2**-969 and 2**995 of
 ``rounding`` with their neighbours, 1 and its neighbours, and the
 largest finite float, each with both signs.  Every pair of distinct
 endpoints, in order, is an interval: 325 of them, ``[-0.0, 0.0]``
-included.  Each result is compared with ``relational_oracle``'s exact
-answer: it must contain it, and each finite bound must be the tightest
-float bound or its outward neighbour.
+included.  Each operation's kernel runs on the bare bound pairs, signed
+zeros as written, and every pair it returns must be a valid one: the
+empty pair ``(inf, -inf)``, or float bounds with ``lo <= hi``,
+``lo != inf`` and ``hi != -inf``.  That is what lets the kernels test an
+operand for emptiness with ``lo > hi`` alone.  The boxed result is
+compared with ``relational_oracle``'s exact answer: it must contain it,
+and each finite bound must be the tightest float bound or its outward
+neighbour.
 
-Tier-1 runs every operation with one operand on a stride of the grid and
-the other on all of it.  The full grid (105,625 pairs per binary
+Tier-1 runs the unary operations on the whole grid, and every binary one
+with one operand on a stride of the grid and the other on all of it.  The full grid (105,625 pairs per binary
 operation) runs as a script:
 
     PYTHONPATH=src python tests/test_edge_grid.py
@@ -24,11 +29,14 @@ from collections import Counter
 import pytest
 
 from relival.interval import (
+    _KERNELS,
     Interval,
+    absolute,
     add,
     div,
     div_canonical,
     mul,
+    neg,
     sqrt_canonical,
     sqrt_rel,
     sub,
@@ -56,7 +64,7 @@ ENDPOINTS = sorted([-v for v in _POSITIVE] + [-0.0, 0.0] + _POSITIVE)
 GRID = [(a, b) for i, a in enumerate(ENDPOINTS) for b in ENDPOINTS[i + 1 :]]
 
 BINARY = {"+": add, "-": sub, "*": mul, "/": div, "/c": div_canonical}
-UNARY = {"sqrt": sqrt_canonical, "sqrtr": sqrt_rel}
+UNARY = {"sqrt": sqrt_canonical, "sqrtr": sqrt_rel, "neg": neg, "abs": absolute}
 
 
 def _canonical_oracle(x: Interval, y: Interval) -> RationalInterval:
@@ -93,10 +101,20 @@ def _verdict(got: Interval, want: RationalInterval) -> str:
     return "ok" if ulp_steps(got.lo, lo) <= 1 and ulp_steps(got.hi, hi) <= 1 else "loose"
 
 
+def _valid_pair(p) -> bool:
+    lo, hi = p
+    if type(lo) is not float or type(hi) is not float:
+        return False
+    return p == (math.inf, -math.inf) or (lo <= hi and lo != math.inf and hi != -math.inf)
+
+
 def _evaluate(op: str, x: "tuple[float, float]", y=None) -> Interval:
     if y is None:
-        return UNARY[op](Interval(*x))
-    return BINARY[op](Interval(*x), Interval(*y))
+        p = _KERNELS[UNARY[op]](x)
+    else:
+        p = _KERNELS[BINARY[op]](x, y)
+    assert _valid_pair(p), f"{op} on {x}, {y} gave {p}"
+    return Interval(*p)
 
 
 def _check(op: str, x, y=None) -> str:
@@ -113,6 +131,26 @@ def test_grid_shape():
     assert math.copysign(1.0, ENDPOINTS[12]) < 0 < math.copysign(1.0, ENDPOINTS[13])
 
 
+def test_kernels_on_empty_and_unbounded_operands():
+    # the oracle needs bounded operands: these are checked for a valid
+    # result pair and for empty propagation only
+    inf = math.inf
+    empty = (inf, -inf)
+    operands = [empty, (-inf, inf), (-inf, -0.0), (-inf, 0.0), (-0.0, inf), (0.0, inf),
+                (-inf, -1.0), (1.0, inf), (-inf, -MAX_FLOAT), (MAX_FLOAT, inf)] + GRID[::5]
+    for f in UNARY.values():
+        for x in operands:
+            p = _KERNELS[f](x)
+            assert _valid_pair(p), f"{f.__name__} on {x} gave {p}"
+            assert x != empty or p == empty
+    for f in BINARY.values():
+        for x in operands:
+            for y in operands:
+                p = _KERNELS[f](x, y)
+                assert _valid_pair(p), f"{f.__name__} on {x}, {y} gave {p}"
+                assert empty not in (x, y) or p == empty
+
+
 @pytest.mark.parametrize("op", sorted(BINARY))
 def test_binary_on_a_stride_of_the_grid(op):
     side = GRID[::25]
@@ -121,7 +159,7 @@ def test_binary_on_a_stride_of_the_grid(op):
 
 
 @pytest.mark.parametrize("op", sorted(UNARY))
-def test_roots_on_the_whole_grid(op):
+def test_unary_on_the_whole_grid(op):
     assert [x for x in GRID if _check(op, x) != "ok"] == []
 
 

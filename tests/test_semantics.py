@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relival.expr import Binary, Unary, Var, parse, variable_sequence
-from relival.interval import EMPTY, REALS, Box, Interval, member, subset
+from relival.interval import EMPTY, REALS, Box, Interval, add, member, subset
 from relival.semantics import (
     UNDEFINED,
     Interpretation,
@@ -316,6 +316,71 @@ class TestTape:
             compile_real(e, DEFAULT)
         with pytest.raises(KeyError, match="interval operation"):
             compile_interval(e, DEFAULT)
+
+
+def _through_adapter(interp):
+    """``interp`` with each interval op behind a plain wrapper, which the
+    compiler runs through its boxing adapter instead of a kernel."""
+
+    def wrap(f):
+        return lambda *a: f(*a)
+
+    return Interpretation(interp.real_ops, {s: wrap(f) for s, f in interp.interval_ops.items()}, interp.name)
+
+
+class TestKernelPath:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["relational", "canonical"]))
+    def test_kernels_match_the_boxing_adapter(self, seed, mode):
+        interp = mode_select(DEFAULT, mode)
+        e, box = random_case(random.Random(seed), max_depth=6)
+        assert repr(eval_interval(e, interp, box)) == repr(eval_interval(e, _through_adapter(interp), box))
+
+    # kernels carry a -0.0 bound forward where the constructor would have
+    # normalized it; no later operation may tell it from 0.0
+    @pytest.mark.parametrize(
+        "source, bounds, relational, canonical",
+        [
+            ("x - x", [(0, 0)], "[0,0]", "[0,0]"),
+            ("-x * y", [(0, 0), (-1, 2)], "[0,0]", "[0,0]"),
+            ("-x * y", [(0, 0), (-INF, INF)], "[0,0]", "[0,0]"),
+            ("sqrtr(x)", [(-1, 0)], "[0,0]", "[0,0]"),
+            ("sqrtr(x) * y", [(-1, 0), (-INF, INF)], "[0,0]", "[0,0]"),
+            ("x * y", [(0, 0), (-INF, INF)], "[0,0]", "[0,0]"),
+            ("-x / y", [(0, 1), (1, 2)], "[-1,0]", "[-1,0]"),
+            ("-x / y", [(0, 1), (-2, -1)], "[0,1]", "[0,1]"),
+            ("-x / y", [(0, 1), (0, 1)], "[-inf,inf]", "[-inf,0]"),
+            ("-x / y", [(0, 0), (0, 0)], "[-inf,inf]", "empty"),
+            ("x / -y", [(1, 2), (0, 1)], "[-inf,-1]", "[-inf,-1]"),
+            ("sqrt(-x)", [(0, 1)], "[0,0]", "[0,0]"),
+            ("abs(-x) + sqrtr(x)", [(0, 0)], "[0,0]", "[0,0]"),
+        ],
+    )
+    def test_signed_zero_cases(self, source, bounds, relational, canonical):
+        box = [Interval(lo, hi) for lo, hi in bounds]
+        for mode, want in (("relational", relational), ("canonical", canonical)):
+            interp = mode_select(DEFAULT, mode)
+            assert repr(eval_interval(ast(source), interp, box)) == want
+            assert repr(eval_interval(ast(source), _through_adapter(interp), box)) == want
+
+    def test_custom_op_is_called(self):
+        calls = []
+
+        def plus(x, y):
+            calls.append((x, y))
+            return add(x, y)
+
+        interp = Interpretation(DEFAULT.real_ops, {**DEFAULT.interval_ops, "+": plus})
+        e = ast("x*y + y + x")
+        box = (Interval(0, 1), Interval(2, 3))
+        assert eval_interval(e, interp, box) == eval_interval(e, DEFAULT, box) == Interval(2, 7)
+        assert len(calls) == 2
+        assert all(type(v) is Interval for args in calls for v in args)
+
+    def test_empty_from_a_custom_op_propagates(self):
+        interp = Interpretation(DEFAULT.real_ops, {**DEFAULT.interval_ops, "sqrtr": lambda x: EMPTY})
+        e = ast("abs(-sqrt(sqrtr(x) * y / y + x - y))")
+        assert eval_interval(e, interp, (Interval(1, 4), Interval(-1, 1))) == EMPTY
+        assert eval_interval(e, DEFAULT, (Interval(1, 4), Interval(-1, 1))) == Interval(0, INF)
 
 
 class TestInclusion:
