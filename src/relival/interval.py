@@ -124,7 +124,7 @@ class Interval:
     @property
     def is_bounded(self) -> bool:
         """True when both bounds are finite (vacuously true on empty)."""
-        return self.lo > -math.inf and self.hi < math.inf  # so are (inf, -inf)
+        return self.lo > -math.inf and self.hi < math.inf  # true on (inf, -inf)
 
     @property
     def is_degenerate(self) -> bool:
@@ -208,12 +208,10 @@ def midpoint(x: Interval) -> float:
     return m
 
 
-# Kernels: each returns (inf, -inf) for the empty set, else float bounds with
-# lo <= hi, lo != inf and hi != -inf, so lo > hi alone tells an empty operand.
-# A -0.0 bound may pass through: no kernel tells it from 0.0 (sign classes use
-# >= and <=, and no zero divisor reaches div_down or div_up).
+# Kernels return (inf, -inf) for the empty set, else float bounds with lo <= hi, lo != inf
+# and hi != -inf, so lo > hi alone tells an empty operand.  A -0.0 bound may pass through:
+# no kernel tells it from 0.0 (sign tests use >= and <=; no zero divisor reaches div_*).
 _EMPTY_PAIR = (_INF, _NINF)
-_REALS_PAIR = (_NINF, _INF)
 
 
 def _add(x, y):
@@ -281,7 +279,7 @@ def _div_canonical(x, y):
 
 def _div(x, y):
     if x[0] <= 0.0 <= x[1] and y[0] <= 0.0 <= y[1]:
-        return _REALS_PAIR
+        return _NINF, _INF
     return _div_canonical(x, y)
 
 
@@ -299,8 +297,7 @@ def _sqrt_canonical(x):
 
 
 def _neg(x):
-    # maps the empty pair to itself
-    return -x[1], -x[0]
+    return -x[1], -x[0]  # the empty pair maps to itself
 
 
 def _absolute(x):

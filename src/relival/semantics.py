@@ -32,7 +32,18 @@ from typing import Callable, Mapping
 
 from .expr import Expr, Unary, Var, _postorder, variable_sequence
 from .interval import (
-    _KERNELS, Box, Interval, absolute, add, div, div_canonical, mul, neg, sqrt_canonical, sqrt_rel, sub
+    _KERNELS,
+    Box,
+    Interval,
+    absolute,
+    add,
+    div,
+    div_canonical,
+    mul,
+    neg,
+    sqrt_canonical,
+    sqrt_rel,
+    sub,
 )
 
 __all__ = [
@@ -149,9 +160,8 @@ _INTERVAL_OPS_DEFAULT: "Mapping[str, Callable]" = {
 class Interpretation:
     """Symbol tables for evaluation; ``name`` tags the selected mode.
 
-    An interval operation may be any function on ``Interval`` values; one
-    that is not public in ``interval`` (a user's own) runs through an
-    adapter that boxes its arguments and unboxes its result on every call.
+    An interval operation that is not public in ``interval`` (a user's own)
+    runs through an adapter: one box per argument and result on every call.
     """
 
     real_ops: "Mapping[str, Callable]"
@@ -247,9 +257,8 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
 
 def _kernel(f: Callable) -> Callable:
     """``f``'s pair kernel, or ``f`` behind the boxing adapter."""
-    kernel = _KERNELS.get(f)
-    if kernel is not None:
-        return kernel
+    if f in _KERNELS:
+        return _KERNELS[f]
 
     def boxed(*pairs):
         r = f(*[Interval(lo, hi) for lo, hi in pairs])
