@@ -257,14 +257,14 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
 
 def _kernel(f: Callable) -> Callable:
     """``f``'s pair kernel, or ``f`` behind the boxing adapter."""
-    if f in _KERNELS:
+    try:
         return _KERNELS[f]
+    except (KeyError, TypeError):  # not public in interval, or not hashable
+        def boxed(*pairs):
+            r = f(*[Interval(lo, hi) for lo, hi in pairs])
+            return r.lo, r.hi
 
-    def boxed(*pairs):
-        r = f(*[Interval(lo, hi) for lo, hi in pairs])
-        return r.lo, r.hi
-
-    return boxed
+        return boxed
 
 
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:

@@ -44,11 +44,7 @@ from relival.interval import (
 from relival.oracle import RATIONAL_EMPTY, RationalInterval, relational_oracle
 from relival.rounding import MAX_FLOAT, next_down, next_up, round_down, round_up
 
-try:
-    from conftest import ulp_steps
-except ImportError:  # run as a script from the repository root
-    sys.path.insert(0, "tests")
-    from conftest import ulp_steps
+from conftest import ulp_steps
 
 _TINY, _HUGE = 2.0**-969, 2.0**995
 _POSITIVE = [
