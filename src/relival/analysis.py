@@ -210,7 +210,7 @@ def subdivide_enclosure(
         raise ValueError("max_boxes must be at least 1")
     fn = compile_interval(e, interp)
     frontier = [box]
-    # hulls as running bounds; (inf, -inf) is the empty hull
+    # hulls as running bounds; (inf, -inf) is the empty hull, and an empty leaf stores it too
     settled_lo, settled_hi = math.inf, -math.inf
     all_within_tol = True
     created = 1  # every created box is evaluated exactly once
@@ -219,11 +219,10 @@ def subdivide_enclosure(
         level = [(b, fn(b.dims)) for b in frontier]
         lo, hi = settled_lo, settled_hi
         for _, iv in level:
-            if not iv.is_empty:
-                if iv.lo < lo:
-                    lo = iv.lo
-                if iv.hi > hi:
-                    hi = iv.hi
+            if iv.lo < lo:
+                lo = iv.lo
+            if iv.hi > hi:
+                hi = iv.hi
         widths_trace.append(width(Interval(lo, hi)))
         frontier = []
         for b, iv in level:
@@ -236,11 +235,10 @@ def subdivide_enclosure(
                     created += 2
                     continue
                 all_within_tol = False
-            if not iv.is_empty:
-                if iv.lo < settled_lo:
-                    settled_lo = iv.lo
-                if iv.hi > settled_hi:
-                    settled_hi = iv.hi
+            if iv.lo < settled_lo:
+                settled_lo = iv.lo
+            if iv.hi > settled_hi:
+                settled_hi = iv.hi
     return EnclosureReport(
         enclosure=Interval(settled_lo, settled_hi),
         widths=tuple(widths_trace),

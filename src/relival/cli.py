@@ -16,8 +16,9 @@ options.
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
 1 check found violations, 2 expression/literal parse error or a count
 or tolerance option out of range (``--steps`` above 2100 included),
-3 binding coverage error, 4 did not converge, 5 refinement target
-rejected.
+3 binding coverage error, 4 did not converge, 5 analysis input
+rejected (refinement target, or a box that is unbounded, or empty for
+``check``).
 """
 
 from __future__ import annotations
@@ -149,6 +150,20 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _report(args, report, *lines) -> int:
+    """Print a refine or enclose report around ``lines``; 0 if it converged, else 4."""
+    text = format_interval(report.enclosure)
+    lines = (f"enclosure: {text}", *lines, f"converged: {'yes' if report.converged else 'no'}")
+    _emit(
+        args,
+        result=text,
+        widths=list(report.widths),
+        converged=report.converged,
+        text_lines=lines,
+    )
+    return 0 if report.converged else 4
+
+
 def _cmd_refine(args) -> int:
     if not 0 <= args.steps <= _MAX_STEPS:
         raise _CliError(2, f"--steps must be from 0 to {_MAX_STEPS}")
@@ -162,20 +177,7 @@ def _cmd_refine(args) -> int:
         report = check_convergence(e, interp, seq, args.tol)
     except ValueError as exc:
         raise _CliError(5, str(exc)) from None
-    text = format_interval(report.enclosure)
-    lines = (
-        f"enclosure: {text}",
-        "widths: " + " ".join(f"{w:.17g}" for w in report.widths),
-        f"converged: {'yes' if report.converged else 'no'}",
-    )
-    _emit(
-        args,
-        result=text,
-        widths=list(report.widths),
-        converged=report.converged,
-        text_lines=lines,
-    )
-    return 0 if report.converged else 4
+    return _report(args, report, "widths: " + " ".join(f"{w:.17g}" for w in report.widths))
 
 
 def _cmd_enclose(args) -> int:
@@ -189,21 +191,9 @@ def _cmd_enclose(args) -> int:
         report = subdivide_enclosure(e, interp, box, args.tol, args.max_boxes)
     except ValueError as exc:
         raise _CliError(5, str(exc)) from None
-    text = format_interval(report.enclosure)
-    lines = (
-        f"enclosure: {text}",
-        f"width: {report.widths[-1]:.17g}",
-        f"iterations: {report.iterations}",
-        f"converged: {'yes' if report.converged else 'no'}",
+    return _report(
+        args, report, f"width: {report.widths[-1]:.17g}", f"iterations: {report.iterations}"
     )
-    _emit(
-        args,
-        result=text,
-        widths=list(report.widths),
-        converged=report.converged,
-        text_lines=lines,
-    )
-    return 0 if report.converged else 4
 
 
 def _cmd_check(args) -> int:
@@ -212,6 +202,9 @@ def _cmd_check(args) -> int:
         raise _CliError(2, "--samples must be at least 1")
     e, _, _, _, box = _assemble(args.expression, args.var)
     interp = _interpretation(args.mode)
+    if box.is_empty:
+        # an empty box has no points to sample: zero violations would prove nothing
+        raise _CliError(5, "check needs nonempty variable intervals")
     if not box.is_bounded:
         raise _CliError(5, "check needs bounded variable intervals")
     iv = eval_interval(e, interp, box)

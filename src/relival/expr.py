@@ -11,17 +11,19 @@ Identifiers match ``[a-zA-Z_][a-zA-Z0-9_]*``; ``abs``, ``sqrt`` and
 ``sqrtr`` are reserved operation words.  Number literals do not appear in
 the AST: the parser replaces each with a fresh variable (``_c0``,
 ``_c1``, ... skipping names already used in the source) and returns a
-binding that records the literal's exact value.  Evaluators then treat
-constants as degenerate arguments, so the core semantics only ever deals
-with variables and operation symbols.
+binding that records the literal's exact value (a literal whose exact
+numerator or denominator needs more than 4300 digits is a parse error).
+Evaluators then treat constants as degenerate arguments, so the core
+semantics only ever deals with variables and operation symbols.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
+
+from .rounding import _exact_value
 
 __all__ = [
     "Expr",
@@ -179,7 +181,11 @@ def parse(source: str) -> "tuple[Expr, list[Binding]]":
                 name = f"_c{fresh}"
                 fresh += 1
                 used.add(name)
-                bindings.append(Binding(name, text, Fraction(Decimal(text))))
+                try:
+                    value = _exact_value(text)
+                except ValueError as exc:
+                    raise ParseError(f"bad number literal: {exc}", at) from None
+                bindings.append(Binding(name, text, value))
                 operands.append(Var(name))
             elif kind is None:
                 raise ParseError("unexpected end of input", at)

@@ -3,11 +3,14 @@
 An ``Interval`` is a closed connected set of reals: the empty set, a
 bounded ``[lo, hi]``, a ray, or the whole line.  An infinite bound records
 the absence of a constraint on that side; the infinities themselves are
-never members.  ``Box`` is an ordered tuple of intervals with
-coordinatewise membership.  Both are slotted frozen dataclasses with one
-validating constructor.  Each operation is written once, as a kernel on
-bare ``(lo, hi)`` float pairs; its public function unboxes the operands
-and boxes the kernel's pair, and box tapes run the kernels directly.
+never members.  An interval is its two bounds and nothing else: the
+empty set is the pair ``(inf, -inf)``, as in IEEE Std 1788.1-2017, and
+``is_empty`` is read from it.  ``Box`` is an ordered tuple of intervals
+with coordinatewise membership.  Both are slotted frozen dataclasses with
+one validating constructor.  Each operation is written once, as a kernel
+on bare ``(lo, hi)`` float pairs; its public function unboxes the
+operands and boxes the kernel's pair, and box tapes run the kernels
+directly.
 
 Arithmetic follows the relational reading: ``X op Y`` is the tightest
 representable interval around every ``z`` for which witnesses ``x in X``
@@ -75,19 +78,18 @@ _NINF = -math.inf
 class Interval:
     """Closed connected set of reals with binary64 bounds.
 
-    A slotted frozen value.  ``Interval(lo, hi)`` keeps float bounds as
-    given and rounds any other bound descriptor (int, Fraction, Decimal,
-    numeric string) outward, so the interval always contains the reals it
-    names.  It normalizes: reversed bounds (lo > hi) denote the empty
-    set, as do impossible ones (lo = +inf or hi = -inf, since the
-    infinities are not members).  Emptiness is carried by the ``is_empty``
-    flag and by the stored bounds, always ``(inf, -inf)`` on the empty
-    interval: the kernels and predicates read emptiness from them.
+    A slotted frozen value whose only fields are its bounds.
+    ``Interval(lo, hi)`` keeps float bounds as given and rounds any other
+    bound descriptor (int, Fraction, Decimal, numeric string) outward, so
+    the interval always contains the reals it names.  It normalizes:
+    reversed bounds (lo > hi) denote the empty set, as do impossible ones
+    (lo = +inf or hi = -inf, since the infinities are not members), and
+    the empty set is always stored as ``(inf, -inf)``.  ``is_empty`` reads
+    that pair, as the kernels and predicates do.
     """
 
     lo: float
     hi: float
-    is_empty: bool = False
 
     # the single validation hook; the benchmark tracer times and counts constructions here
     def __post_init__(self):
@@ -100,13 +102,6 @@ class Interval:
             hi = float(round_up(hi))
             object.__setattr__(self, "hi", hi)
         if lo <= hi and lo != _INF and hi != _NINF:
-            # writes only for a non-bool flag or a -0.0 bound; the common case makes none
-            empty = self.is_empty
-            if empty is not False:
-                if empty:
-                    _set_empty(self)
-                    return
-                object.__setattr__(self, "is_empty", False)
             # normalize -0.0 so equal sets compare and print identically
             if lo == 0.0 and copysign(1.0, lo) < 0.0:
                 object.__setattr__(self, "lo", 0.0)
@@ -115,11 +110,17 @@ class Interval:
             return
         if lo != lo or hi != hi:
             raise ValueError("interval bounds cannot be NaN")
-        _set_empty(self)
+        object.__setattr__(self, "lo", _INF)
+        object.__setattr__(self, "hi", _NINF)
 
     @classmethod
     def point(cls, value: float) -> "Interval":
         return cls(value, value)
+
+    @property
+    def is_empty(self) -> bool:
+        """True for the empty set, whose stored bounds are (inf, -inf)."""
+        return self.lo > self.hi
 
     @property
     def is_bounded(self) -> bool:
@@ -129,7 +130,7 @@ class Interval:
     @property
     def is_degenerate(self) -> bool:
         """Single-point interval."""
-        return not self.is_empty and self.lo == self.hi
+        return self.lo == self.hi  # false on (inf, -inf)
 
     def __contains__(self, value: float) -> bool:
         return member(value, self)
@@ -141,13 +142,7 @@ class Interval:
         return format_interval(self)
 
 
-def _set_empty(x: Interval) -> None:
-    object.__setattr__(x, "lo", _INF)
-    object.__setattr__(x, "hi", _NINF)
-    object.__setattr__(x, "is_empty", True)
-
-
-EMPTY = Interval(0.0, 0.0, is_empty=True)
+EMPTY = Interval(_INF, _NINF)
 REALS = Interval(-math.inf, math.inf)
 
 

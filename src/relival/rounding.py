@@ -56,6 +56,11 @@ MAX_FLOAT = sys.float_info.max
 
 BoundLike = "float | int | Fraction | Decimal | str"
 
+# CPython's default limit on int string conversion: a "p/q" bound with a longer
+# numerator or denominator fails in Fraction(str), and a decimal one is held to it too
+_MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10**_MAX_DIGITS
+
 
 def next_down(x: float) -> float:
     """Largest float strictly below ``x`` (identity on -inf)."""
@@ -92,28 +97,26 @@ def _exact_value(x) -> "Fraction | float":
             raise ValueError("NaN is not a real value")
         if x.is_infinite():
             return math.inf if x > 0 else -math.inf
-        return Fraction(x)
+        # Fraction(x) builds 10**abs(exponent) in full; refuse first a magnitude that alone
+        # puts the numerator (|x| >= 10**4300) or the denominator (|x| < 10**-4300) past it
+        if x and not -_MAX_DIGITS <= x.adjusted() < _MAX_DIGITS:
+            raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
+        q = Fraction(x)
+        if abs(q.numerator) >= _DIGIT_LIMIT or q.denominator >= _DIGIT_LIMIT:
+            raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
+        return q
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact real")
 
 
-def _fraction_down(q: Fraction) -> float:
+def _nearest(q: Fraction) -> "tuple[float, float]":
+    """``f = float(q)`` to nearest, and a number with the sign of ``q - f``.
+    Past the float range ``f`` is ``±inf`` and the residual ``∓inf``."""
     try:
         f = float(q)
     except OverflowError:
-        return MAX_FLOAT if q > 0 else -math.inf
-    if Fraction(f) > q:
-        return next_down(f)
-    return f
-
-
-def _fraction_up(q: Fraction) -> float:
-    try:
-        f = float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -MAX_FLOAT
-    if Fraction(f) < q:
-        return next_up(f)
-    return f
+        return (math.inf, -math.inf) if q > 0 else (-math.inf, math.inf)
+    n, d = f.as_integer_ratio()
+    return f, q.numerator * d - n * q.denominator  # both denominators are positive
 
 
 def round_down(x) -> float:
@@ -125,7 +128,8 @@ def round_down(x) -> float:
     q = _exact_value(x)
     if isinstance(q, float):
         return q
-    return _fraction_down(q)
+    f, r = _nearest(q)
+    return next_down(f) if r < 0 else f
 
 
 def round_up(x) -> float:
@@ -133,7 +137,8 @@ def round_up(x) -> float:
     q = _exact_value(x)
     if isinstance(q, float):
         return q
-    return _fraction_up(q)
+    f, r = _nearest(q)
+    return next_up(f) if r > 0 else f
 
 
 def add_down(a: float, b: float) -> float:

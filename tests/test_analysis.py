@@ -301,6 +301,21 @@ class TestSubdivide:
         assert (rep.iterations, rep.converged) == (1, False)
         assert rep.enclosure == Interval(lo, hi)
 
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            # leaves with x < 0 or y < 3 evaluate to empty and leave the hulls alone
+            ((-4, 1), "EnclosureReport(enclosure=[-1,2], widths=(3.0, 3.0, 3.0, 3.0, 3.0, 3.0), "
+                      "iterations=63, converged=False, nested=True)"),
+            ((-4, -1), "EnclosureReport(enclosure=empty, widths=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), "
+                       "iterations=63, converged=False, nested=True)"),
+        ],
+    )
+    def test_empty_leaves(self, x, expected):
+        box = Box((Interval(*x), Interval(0, 4), Interval(3, 3)))
+        rep = subdivide_enclosure(ast("sqrt(x) + sqrtr(y - z)"), DEFAULT, box, 0.1, 64)
+        assert repr(rep) == expected
+
     def test_monotone_expression_enclosure_is_tight(self):
         e = ast("x * y")
         box = Box((Interval(0, 1), Interval(0, 1)))

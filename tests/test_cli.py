@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given
@@ -201,6 +202,13 @@ class TestCheck:
         assert code == 5
         assert "error:" in err
 
+    @pytest.mark.parametrize("binding", ["x=[1,0]", "x=empty"])
+    def test_empty_box_exit_five(self, capsys, binding):
+        # an empty box has no points, so sampling it would pass vacuously
+        code, out, err = run(capsys, "check", "x", "--var", binding)
+        assert (code, out) == (5, "")
+        assert err == "error: check needs nonempty variable intervals\n"
+
 
 class TestArgumentErrors:
     def test_expression_syntax_exit_two(self, capsys):
@@ -241,6 +249,34 @@ class TestArgumentErrors:
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "1e999999999"),
+            ("eval", "x", "--var", "x=[0,1e999999999]"),
+            ("eval", "x", "--var", "x=[-1e-999999999,0]"),
+        ],
+    )
+    def test_huge_literal_exponent_exit_two(self, capsys, argv):
+        # building the exact value would take hours; the 4300-digit limit refuses it first
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "4300 digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "1e999"),
+            ("eval", "1e400"),
+            ("eval", "x", "--var", "x=[1e999,1e999]"),
+            ("eval", "x", "--var", "x=[1e400,1e400]"),
+        ],
+    )
+    def test_literals_past_the_float_range_still_read(self, capsys, argv):
+        assert run(capsys, *argv) == (0, "[1.7976931348623157e+308,inf]\n", "")
 
     def test_bad_var_syntax_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x[0,1]")

@@ -75,6 +75,10 @@ class TestConstants:
         _, binds = parse("x + 0.1")
         assert binds[0].value == Fraction(1, 10)
 
+    def test_literals_past_the_float_range_stay_exact(self):
+        _, binds = parse("1e400 + 1e999")
+        assert [b.value for b in binds] == [Fraction(10**400), Fraction(10**999)]
+
     def test_multiple_literals_in_order(self):
         e, binds = parse("1 + x * 2")
         assert [b.name for b in binds] == ["_c0", "_c1"]
@@ -127,6 +131,13 @@ class TestParseErrors:
     def test_reserved_word_needs_argument(self):
         with pytest.raises(ParseError):
             parse("abs")
+
+    def test_literal_past_the_digit_limit(self):
+        # building 10**999999999 in full would take hours; the limit refuses it first
+        with pytest.raises(ParseError) as exc:
+            parse("x + 1e999999999")
+        assert exc.value.position == 4
+        assert "4300 digits" in str(exc.value)
 
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):

@@ -133,17 +133,17 @@ class TestConstruction:
         assert EMPTY.is_bounded
 
 
-def reference_bounds(lo, hi, is_empty=False):
+def reference_bounds(lo, hi):
     """The constructor's rules written out plainly, as an oracle:
-    non-float bounds round outward, NaN is rejected, a truthy flag or
-    reversed or impossible bounds give the empty set, -0.0 becomes 0.0."""
+    non-float bounds round outward, NaN is rejected, reversed or
+    impossible bounds give the empty set, -0.0 becomes 0.0."""
     if type(lo) is not float:
         lo = float(round_down(lo))
     if type(hi) is not float:
         hi = float(round_up(hi))
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError("interval bounds cannot be NaN")
-    if is_empty or lo > hi or lo == INF or hi == -INF:
+    if lo > hi or lo == INF or hi == -INF:
         return INF, -INF, True
     if lo == 0.0:
         lo = 0.0
@@ -160,8 +160,8 @@ def outcome(make, *args):
         return type(exc)
 
 
-def built_bounds(*args):
-    iv = Interval(*args)
+def built_bounds(lo, hi):
+    iv = Interval(lo, hi)
     assert type(iv.is_empty) is bool
     return iv.lo, iv.hi, iv.is_empty
 
@@ -176,7 +176,6 @@ descriptors = (
     | any_float.map(str)
     | st.sampled_from(["0.1", "-0", "1e400", "-1e400", "inf", "-inf", "nan", "spam", ""])
 )
-flags = st.sampled_from([False, True, 0, 1, 0.0, 2.5, "", "yes", None, (), (0,)])
 
 
 class TestConstructorDifferential:
@@ -186,18 +185,23 @@ class TestConstructorDifferential:
             lo, hi = hi, lo
         assert outcome(built_bounds, lo, hi) == outcome(reference_bounds, lo, hi)
 
-    @given(any_float | descriptors, any_float | descriptors, flags)
-    def test_descriptors_and_flags(self, lo, hi, flag):
-        assert outcome(built_bounds, lo, hi, flag) == outcome(reference_bounds, lo, hi, flag)
+    @given(any_float | descriptors, any_float | descriptors)
+    def test_descriptors(self, lo, hi):
+        assert outcome(built_bounds, lo, hi) == outcome(reference_bounds, lo, hi)
 
     def test_edge_grid(self):
         edges = [0.0, -0.0, 1.0, -1.0, INF, -INF, math.nan, 5e-324, MAX_FLOAT,
                  0, "-0.0", Fraction(-1, 3)]
         for lo in edges:
             for hi in edges:
-                for flag in (False, True, 0, 1, None):
-                    expected = outcome(reference_bounds, lo, hi, flag)
-                    assert outcome(built_bounds, lo, hi, flag) == expected
+                assert outcome(built_bounds, lo, hi) == outcome(reference_bounds, lo, hi)
+
+    def test_bounds_are_the_only_fields(self):
+        assert tuple(f.name for f in dataclasses.fields(Interval)) == ("lo", "hi")
+        # emptiness is read from the bounds; there is no flag to pass
+        with pytest.raises(TypeError):
+            Interval(0.0, 0.0, True)
+        assert EMPTY == Interval(INF, -INF) == Interval(1.0, 0.0)
 
     @pytest.mark.parametrize(
         "value",
@@ -222,9 +226,12 @@ class TestConstructorDifferential:
     def test_values_are_slotted_and_frozen(self):
         iv, box = Interval(1.0, 2.0), Box((Interval(1.0, 2.0),))
         assert not hasattr(iv, "__dict__") and not hasattr(box, "__dict__")
-        for attr in ("lo", "hi", "is_empty"):
+        for attr in ("lo", "hi"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(iv, attr, 0.0)
+        # is_empty is a property read from the bounds, not a field
+        with pytest.raises((AttributeError, TypeError)):
+            iv.is_empty = True
         # no slot to hold it; CPython's generated __setattr__ raises TypeError here
         with pytest.raises((AttributeError, TypeError)):
             iv.other = 0.0

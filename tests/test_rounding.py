@@ -106,6 +106,17 @@ class TestRoundValue:
         assert round_down(-big) == -math.inf
         assert round_up(-big) == -MAX_FLOAT
 
+    def test_decimal_digit_limit(self):
+        # exact numerators and denominators may have up to 4300 digits, as in "p/q" bounds
+        assert (round_down("1e4299"), round_up("1e4299")) == (MAX_FLOAT, math.inf)
+        assert (round_down("1e-4299"), round_up("1e-4299")) == (0.0, 5e-324)
+        assert round_down("1" + "0" * 5000 + "e-5000") == 1.0  # reduces to 1
+        for text in ("1e4300", "11e4299", "1e-4300", "1e999999999", "-1e-999999999"):
+            with pytest.raises(ValueError, match="4300 digits"):
+                round_up(text)
+        with pytest.raises(ValueError):
+            round_up("1/" + "1" * 4301)
+
     def test_underflow_to_zero(self):
         tiny = Fraction(1, 10**330)
         assert round_down(tiny) == 0.0
