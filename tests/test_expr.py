@@ -74,8 +74,6 @@ class TestConstants:
         assert binds[0].value == Fraction(1, 4)
         _, binds = parse("x + 0.1")
         assert binds[0].value == Fraction(1, 10)
-
-    def test_literals_past_the_float_range_stay_exact(self):
         _, binds = parse("1e400 + 1e999")
         assert [b.value for b in binds] == [Fraction(10**400), Fraction(10**999)]
 
@@ -133,7 +131,7 @@ class TestParseErrors:
             parse("abs")
 
     def test_literal_past_the_digit_limit(self):
-        # building 10**999999999 in full would take hours; the limit refuses it first
+        # the 4300-digit limit refuses it before 10**999999999 is built
         with pytest.raises(ParseError) as exc:
             parse("x + 1e999999999")
         assert exc.value.position == 4
