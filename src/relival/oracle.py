@@ -6,9 +6,9 @@ engine: relational results are rebuilt from the defining equations with
 corner analysis plus symbolic treatment of zero divisors, ranges of
 single-occurrence product/sum expressions come from exact corner
 enumeration, and inclusion is probed by random sampling.  Oracle results
-use ``RationalInterval`` (exact bounds, ``None`` for an absent bound) so
-comparisons against the engine can be made exactly and then judged in
-float ULP steps.
+use ``RationalInterval``: Fraction bounds in ``Interval``'s set format (an
+infinity for an absent bound, ``(inf, -inf)`` for the empty set), so
+comparisons against the engine are exact and then judged in float ULP steps.
 
 A plain-text manifest format records test cases (one per line, fields
 tab-separated: seed, expression, box, check name) so fixed corpora can
@@ -46,16 +46,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RationalInterval:
-    """Exact interval: Fraction bounds, ``None`` marking an absent bound."""
+    """Exact interval: Fraction bounds, ``-inf``/``inf`` where absent, empty as ``(inf, -inf)``."""
 
-    lo: "Fraction | None"
-    hi: "Fraction | None"
-    is_empty: bool = False
+    lo: "Fraction | float"
+    hi: "Fraction | float"
 
     def __post_init__(self):
-        if not self.is_empty and self.lo is not None and self.hi is not None:
-            if self.lo > self.hi:
-                raise ValueError("rational interval bounds out of order")
+        if not self.lo <= self.hi and (self.lo, self.hi) != (math.inf, -math.inf):
+            raise ValueError("rational interval bounds out of order")
+        if self.lo == self.hi and self.lo in (math.inf, -math.inf):
+            raise ValueError("an infinite bound marks an absent one; use (inf, -inf) for empty")
+
+    @property
+    def is_empty(self) -> bool:
+        return self.lo > self.hi
 
     @classmethod
     def bounded(cls, lo, hi) -> "RationalInterval":
@@ -63,43 +67,21 @@ class RationalInterval:
 
     @classmethod
     def from_interval(cls, iv: Interval) -> "RationalInterval":
-        if iv.is_empty:
-            return RATIONAL_EMPTY
-        lo = None if iv.lo == -math.inf else Fraction(iv.lo)
-        hi = None if iv.hi == math.inf else Fraction(iv.hi)
+        lo = iv.lo if math.isinf(iv.lo) else Fraction(iv.lo)
+        hi = iv.hi if math.isinf(iv.hi) else Fraction(iv.hi)
         return cls(lo, hi)
 
     def contains(self, q) -> bool:
-        if self.is_empty:
-            return False
-        q = Fraction(q)
-        if self.lo is not None and q < self.lo:
-            return False
-        if self.hi is not None and q > self.hi:
-            return False
-        return True
+        return self.lo <= Fraction(q) <= self.hi
 
     def is_inside(self, iv: Interval) -> bool:
         """Exact test that every member of self belongs to the float interval."""
-        if self.is_empty:
-            return True
-        if iv.is_empty:
-            return False
-        if self.lo is None:
-            if iv.lo != -math.inf:
-                return False
-        elif iv.lo != -math.inf and Fraction(iv.lo) > self.lo:
-            return False
-        if self.hi is None:
-            if iv.hi != math.inf:
-                return False
-        elif iv.hi != math.inf and Fraction(iv.hi) < self.hi:
-            return False
-        return True
+        # the empty pair lies inside every pair, and no nonempty one inside it
+        return iv.lo <= self.lo and self.hi <= iv.hi
 
 
-RATIONAL_EMPTY = RationalInterval(None, None, is_empty=True)
-RATIONAL_REALS = RationalInterval(None, None)
+RATIONAL_EMPTY = RationalInterval(math.inf, -math.inf)
+RATIONAL_REALS = RationalInterval(-math.inf, math.inf)
 
 
 # exact binary corner operations, shared by the relational and corner oracles
@@ -107,12 +89,12 @@ _CORNER_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _require_bounded(iv: Interval, side: str):
-    if not iv.is_empty and not iv.is_bounded:
+    if not iv.is_bounded:
         raise ValueError(f"oracle needs bounded operands; {side} is unbounded")
 
 
 def _sqrt_bracket(q: Fraction, bits: int = 200):
-    """(lo, hi, exact) with lo <= sqrt(q) <= hi; the gap is ~2**-bits relative."""
+    """(lo, hi) with lo <= sqrt(q) <= hi; the gap is ~2**-bits relative."""
     if q < 0:
         raise ValueError("negative radicand")
     n, d = q.numerator, q.denominator
@@ -121,8 +103,8 @@ def _sqrt_bracket(q: Fraction, bits: int = 200):
     den = d << bits
     lo = Fraction(s, den)
     if s * s == scaled:
-        return lo, lo, True
-    return lo, Fraction(s + 1, den), False
+        return lo, lo
+    return lo, Fraction(s + 1, den)
 
 
 def _div_oracle(x: Interval, y: Interval, grid: int) -> RationalInterval:
@@ -153,8 +135,8 @@ def _div_oracle(x: Interval, y: Interval, grid: int) -> RationalInterval:
     neg_near_zero = ylo < 0 and yhi >= 0
     unbounded_above = (pos_near_zero and xhi > 0) or (neg_near_zero and xlo < 0)
     unbounded_below = (pos_near_zero and xlo < 0) or (neg_near_zero and xhi > 0)
-    lo = None if unbounded_below else min(candidates)
-    hi = None if unbounded_above else max(candidates)
+    lo = -math.inf if unbounded_below else min(candidates)
+    hi = math.inf if unbounded_above else max(candidates)
     return RationalInterval(lo, hi)
 
 
@@ -162,8 +144,9 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None, grid: i
     """Recompute one operation from its defining relation, exactly.
 
     Operands must be bounded (the result may still be unbounded: division
-    by a range through zero reports its absent bounds as ``None``).  The result is attained by witnesses, so it is always a
-    subset of the true relational answer; for ``+ - * / neg abs`` it is
+    by a range through zero reports its absent bounds as ``-inf``/``inf``).
+    The result is attained by witnesses, so it is always a subset of the
+    true relational answer; for ``+ - * / neg abs`` it is
     the exact hull, for the roots it is exact on perfect squares and an
     inner approximation within 2**-200 otherwise.
     """
@@ -193,16 +176,16 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None, grid: i
         # y*y = x: symmetric pair of roots of the largest admissible radicand
         if x.hi < 0:
             return RATIONAL_EMPTY
-        r, _, _ = _sqrt_bracket(Fraction(x.hi))
+        r, _ = _sqrt_bracket(Fraction(x.hi))
         return RationalInterval(-r, r)
     if op == "sqrt":
         # image of the nonnegative branch
         if x.hi < 0:
             return RATIONAL_EMPTY
-        hi_inner, _, _ = _sqrt_bracket(Fraction(x.hi))
+        hi_inner, _ = _sqrt_bracket(Fraction(x.hi))
         if x.lo <= 0:
             return RationalInterval(Fraction(0), hi_inner)
-        _, lo_outer, _ = _sqrt_bracket(Fraction(x.lo))
+        _, lo_outer = _sqrt_bracket(Fraction(x.lo))
         lo_outer = min(lo_outer, hi_inner)
         return RationalInterval(lo_outer, hi_inner)
     raise ValueError(f"no oracle for operation {op!r}")
@@ -242,12 +225,13 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
         lo, hi = Fraction(d.lo), Fraction(d.hi)
         choices.append((lo,) if lo == hi else (lo, hi))
     names = variable_sequence(e)
-    best_lo = best_hi = None
+    # the hull as running bounds, seeded with the empty pair
+    best_lo, best_hi = math.inf, -math.inf
     for corner in itertools.product(*choices):
         v = _exact_eval(e, dict(zip(names, corner)))
-        if best_lo is None or v < best_lo:
+        if v < best_lo:
             best_lo = v
-        if best_hi is None or v > best_hi:
+        if v > best_hi:
             best_hi = v
     return RationalInterval(best_lo, best_hi)
 

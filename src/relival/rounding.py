@@ -54,12 +54,15 @@ __all__ = [
 
 MAX_FLOAT = sys.float_info.max
 
-BoundLike = "float | int | Fraction | Decimal | str"
-
 # CPython's default limit on int string conversion: a "p/q" bound with a longer
 # numerator or denominator fails in Fraction(str), and a decimal one is held to it too
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
+# a decimal c * 10**-k (c without trailing zeros) within those limits has
+# 2**k <= its denominator < 10**4300, so k <= 14284, and c is its numerator times
+# at most 5**k: under 14,286 digits.  A longer coefficient is refused before
+# Fraction(x) is built, which takes time quadratic in the length
+_MAX_COEFFICIENT = 14_300
 
 
 def next_down(x: float) -> float:
@@ -101,6 +104,11 @@ def _exact_value(x) -> "Fraction | float":
         # puts the numerator (|x| >= 10**4300) or the denominator (|x| < 10**-4300) past it
         if x and not -_MAX_DIGITS <= x.adjusted() < _MAX_DIGITS:
             raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
+        # str(x) shows every digit of the coefficient, so short text needs no count;
+        # trailing zeros do not count
+        if len(str(x)) > _MAX_COEFFICIENT:
+            if len(bytes(x.as_tuple().digits).rstrip(b"\0")) > _MAX_COEFFICIENT:
+                raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
         q = Fraction(x)
         if abs(q.numerator) >= _DIGIT_LIMIT or q.denominator >= _DIGIT_LIMIT:
             raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")

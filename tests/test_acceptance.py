@@ -157,11 +157,8 @@ def _criterion_3() -> str:
 
 def _criterion_4() -> str:
     def same(iv: Interval, r) -> bool:
-        if r.is_empty:
-            return iv.is_empty
-        lo = -INF if r.lo is None else float(r.lo)
-        hi = INF if r.hi is None else float(r.hi)
-        return not iv.is_empty and iv.lo == lo and iv.hi == hi
+        # both use the same set format, and floats compare with Fractions exactly
+        return (iv.lo, iv.hi) == (r.lo, r.hi)
 
     # dyadic endpoints keep every corner quotient representable, so the
     # classification must match the oracle bound for bound

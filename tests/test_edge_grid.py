@@ -25,6 +25,7 @@ operation) runs as a script:
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -73,8 +74,8 @@ def _canonical_oracle(x: Interval, y: Interval) -> RationalInterval:
     # 0 / v is attained; divisors near zero of either sign send the
     # nonzero numerators of the matching sign to infinity
     pos, negs = y.hi > 0, y.lo < 0
-    lo = None if (pos and x.lo < 0) or (negs and x.hi > 0) else 0
-    hi = None if (pos and x.hi > 0) or (negs and x.lo < 0) else 0
+    lo = -math.inf if (pos and x.lo < 0) or (negs and x.hi > 0) else Fraction(0)
+    hi = math.inf if (pos and x.hi > 0) or (negs and x.lo < 0) else Fraction(0)
     return RationalInterval(lo, hi)
 
 
@@ -92,8 +93,8 @@ def _verdict(got: Interval, want: RationalInterval) -> str:
         return "ok" if got.is_empty else "loose"
     if not want.is_inside(got):
         return "unsound"
-    lo = -math.inf if want.lo is None else round_down(want.lo)
-    hi = math.inf if want.hi is None else round_up(want.hi)
+    # round_down and round_up pass an absent bound's infinity through
+    lo, hi = round_down(want.lo), round_up(want.hi)
     return "ok" if ulp_steps(got.lo, lo) <= 1 and ulp_steps(got.hi, hi) <= 1 else "loose"
 
 

@@ -1,14 +1,16 @@
 """Rational oracles, sampling checks, and case generation."""
 
+import dataclasses
 import math
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from relival.expr import parse, to_source, variable_sequence
-from relival.interval import EMPTY, Box, Interval, div, mul, sqrt_canonical, sqrt_rel, subset
+from relival.interval import EMPTY, REALS, Box, Interval, div, mul, sqrt_canonical, sqrt_rel, subset
 from relival.oracle import (
     RATIONAL_EMPTY,
     RATIONAL_REALS,
@@ -23,9 +25,11 @@ from relival.oracle import (
     sample_inclusion,
     write_manifest,
 )
+from relival.rounding import MAX_FLOAT
 from relival.semantics import default_interpretation, eval_interval
 
 from conftest import ulp_steps
+from test_edge_grid import ENDPOINTS, GRID
 
 INF = math.inf
 DEFAULT = default_interpretation()
@@ -47,8 +51,8 @@ class TestRationalInterval:
             RationalInterval.bounded(1, 0)
 
     def test_half_line(self):
-        r = RationalInterval(Fraction(0), None)
-        assert r.hi is None
+        r = RationalInterval(Fraction(0), INF)
+        assert r.hi == INF
         assert r.contains(Fraction(10**30))
         assert not r.contains(Fraction(-1))
 
@@ -61,11 +65,11 @@ class TestRationalInterval:
     def test_from_interval_is_exact(self):
         r = RationalInterval.from_interval(Interval(0.1, 0.2))
         assert r.lo == Fraction(0.1) and r.hi == Fraction(0.2)
-        assert RationalInterval.from_interval(EMPTY) is RATIONAL_EMPTY
+        assert RationalInterval.from_interval(EMPTY) == RATIONAL_EMPTY
 
     def test_from_interval_unbounded(self):
         r = RationalInterval.from_interval(Interval(0, INF))
-        assert r.lo == Fraction(0) and r.hi is None
+        assert r.lo == Fraction(0) and r.hi == INF
 
     def test_is_inside(self):
         r = RationalInterval(Fraction(0), Fraction(1))
@@ -74,10 +78,114 @@ class TestRationalInterval:
         assert not r.is_inside(Interval(0.25, 1))
         assert not r.is_inside(Interval(0, 0.75))
         assert not r.is_inside(EMPTY)
-        assert not RationalInterval(Fraction(0), None).is_inside(Interval(-1, 5))
+        assert not RationalInterval(Fraction(0), INF).is_inside(Interval(-1, 5))
         assert RATIONAL_EMPTY.is_inside(Interval(5, 5))
         assert not RATIONAL_REALS.is_inside(Interval(0, 1))
         assert RATIONAL_REALS.is_inside(Interval(-INF, INF))
+
+
+def _three_state(iv: Interval):
+    """The previous RationalInterval.from_interval: (lo, hi, is_empty), absent bounds as ±inf."""
+    if iv.is_empty:
+        return -INF, INF, True
+    lo = -INF if iv.lo == -INF else Fraction(iv.lo)
+    hi = INF if iv.hi == INF else Fraction(iv.hi)
+    return lo, hi, False
+
+
+def _three_state_contains(r, q) -> bool:
+    lo, hi, empty = r
+    if empty:
+        return False
+    if lo != -INF and q < lo:
+        return False
+    if hi != INF and q > hi:
+        return False
+    return True
+
+
+def _three_state_is_inside(r, iv: Interval) -> bool:
+    lo, hi, empty = r
+    if empty:
+        return True
+    if iv.is_empty:
+        return False
+    if lo == -INF:
+        if iv.lo != -INF:
+            return False
+    elif iv.lo != -INF and Fraction(iv.lo) > lo:
+        return False
+    if hi == INF:
+        if iv.hi != INF:
+            return False
+    elif iv.hi != INF and Fraction(iv.hi) < hi:
+        return False
+    return True
+
+
+class TestTwoBoundRationalInterval:
+    """The two-bound RationalInterval against the rules of the previous flag-and-None one."""
+
+    SPECIAL = [
+        EMPTY, REALS, Interval(-INF, 0), Interval(0, INF), Interval(-INF, -MAX_FLOAT),
+        Interval(MAX_FLOAT, INF), Interval(-INF, 5e-324), Interval(-5e-324, INF),
+    ]
+    INTERVALS = [Interval(a, b) for a, b in GRID] + SPECIAL
+
+    def _points(self):
+        at = sorted({Fraction(e) for e in ENDPOINTS})
+        between = [(a + b) / 2 for a, b in zip(at, at[1:])]
+        return at + between + [-2 * at[-1], 2 * at[-1]]
+
+    def test_fields_are_the_two_bounds(self):
+        assert [f.name for f in dataclasses.fields(RationalInterval)] == ["lo", "hi"]
+        assert RATIONAL_EMPTY == RationalInterval(INF, -INF) and RATIONAL_EMPTY.is_empty
+        assert RATIONAL_REALS == RationalInterval(-INF, INF) and not RATIONAL_REALS.is_empty
+
+    def test_from_interval_and_is_empty(self):
+        for iv in self.INTERVALS:
+            r = RationalInterval.from_interval(iv)
+            lo, hi, empty = _three_state(iv)
+            assert r.is_empty == empty == iv.is_empty
+            assert (r.lo, r.hi) == ((INF, -INF) if empty else (lo, hi))
+            assert all(type(b) is Fraction or b in (-INF, INF) for b in (r.lo, r.hi))
+
+    def test_contains(self):
+        points = self._points()
+        for iv in self.INTERVALS:
+            r, old = RationalInterval.from_interval(iv), _three_state(iv)
+            for q in points:
+                assert r.contains(q) == _three_state_contains(old, q), (iv, q)
+
+    def test_is_inside(self):
+        # every interval against a stride of the grid and the special ones
+        outer = [Interval(a, b) for a, b in GRID[::5]] + self.SPECIAL
+        verdicts = Counter()
+        for inner in self.INTERVALS:
+            r, old = RationalInterval.from_interval(inner), _three_state(inner)
+            for iv in outer:
+                verdicts[r.is_inside(iv)] += 1
+                assert r.is_inside(iv) == _three_state_is_inside(old, iv), (inner, iv)
+        assert min(verdicts[True], verdicts[False]) > 1000
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RationalInterval(Fraction(0), Fraction(1), is_empty=True),
+            lambda: RationalInterval(Fraction(0), None),
+            lambda: RationalInterval(None, Fraction(0)),
+            lambda: RationalInterval(None, None),
+            lambda: RationalInterval(INF, INF),
+            lambda: RationalInterval(-INF, -INF),
+            lambda: RationalInterval(Fraction(1), Fraction(0)),
+            lambda: RationalInterval(INF, Fraction(0)),
+            lambda: RationalInterval(Fraction(0), -INF),
+            lambda: RationalInterval(math.nan, Fraction(0)),
+        ],
+    )
+    def test_refused(self, make):
+        with pytest.raises((TypeError, ValueError)):
+            make()
 
 
 class TestRelationalOracle:
@@ -107,9 +215,9 @@ class TestRelationalOracle:
 
     def test_division_touching_zero_is_a_ray(self):
         got = relational_oracle("/", Interval(1, 2), Interval(0, 1))
-        assert got.lo == Fraction(1) and got.hi is None
+        assert got.lo == Fraction(1) and got.hi == INF
         got = relational_oracle("/", Interval(1, 2), Interval(-1, 0))
-        assert got.lo is None and got.hi == Fraction(-1)
+        assert got.lo == -INF and got.hi == Fraction(-1)
 
     def test_division_sign_sweep_matches_library(self):
         rng = random.Random(11)

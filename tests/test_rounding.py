@@ -1,6 +1,8 @@
 """Directed rounding: adjacency to the exact value, edge conventions."""
 
+import decimal
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -116,6 +118,25 @@ class TestRoundValue:
                 round_up(text)
         with pytest.raises(ValueError):
             round_up("1/" + "1" * 4301)
+
+    def test_long_decimal_coefficient(self):
+        # 2**-14284 has a 4300-digit denominator and 1 + 2**-14284 a 4300-digit numerator
+        # too, so both still read exactly; the second one's coefficient, 14,285 digits,
+        # is the longest any decimal within the digit limit can have
+        with decimal.localcontext() as ctx:
+            ctx.prec = 20_000
+            tiny = Decimal(2) ** -14284
+            one_up = 1 + tiny
+        assert len(tiny.as_tuple().digits) == 9985 and len(one_up.as_tuple().digits) == 14285
+        assert (round_down(str(tiny)), round_up(str(tiny))) == (0.0, 5e-324)
+        assert (round_down(str(one_up)), round_up(str(one_up))) == (1.0, next_up(1.0))
+        assert round_down("1" + "0" * 20000 + "e-20000") == 1.0  # trailing zeros do not count
+        # a longer coefficient is refused before its fraction is built, in linear time
+        for text in ("0." + "1" * 14301, "1." + "0" * 10**6 + "1"):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="4300 digits"):
+                round_up(text)
+            assert time.perf_counter() - start < 1.0
 
     def test_underflow_to_zero(self):
         tiny = Fraction(1, 10**330)
