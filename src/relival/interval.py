@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from math import copysign
 
 from .rounding import (
+    _abridged,
     add_down,
     add_up,
     div_down,
@@ -407,14 +408,14 @@ def parse_interval(text: str) -> Interval:
     if s.lower() == "empty":
         return EMPTY
     if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError(f"bad interval syntax: {text!r}")
+        raise ValueError(f"bad interval syntax: {_abridged(text)}")
     parts = s[1:-1].split(",")
     if len(parts) != 2:
-        raise ValueError(f"interval needs exactly two bounds: {text!r}")
+        raise ValueError(f"interval needs exactly two bounds: {_abridged(text)}")
     try:
         return Interval(parts[0], parts[1])
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad interval bound in {text!r}: {exc}") from None
+        raise ValueError(f"bad interval bound in {_abridged(text)}: {exc}") from None
 
 
 def parse_box(text: str) -> "Box":

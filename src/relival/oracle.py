@@ -29,7 +29,7 @@ from .expr import (
     Binary, Expr, Unary, Var, _fold, _postorder, occurs_once, parse, to_source, variable_sequence
 )
 from .interval import Box, Interval, member, parse_box
-from .semantics import Interpretation, _box_dims, compile_real, eval_interval
+from .semantics import Interpretation, _box_dims, _compile_columns, eval_interval
 
 __all__ = [
     "RationalInterval",
@@ -236,12 +236,18 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
     return RationalInterval(best_lo, best_hi)
 
 
+_CHUNK = 1024  # samples drawn and evaluated together
+
+
 def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1000, seed: int = 0) -> int:
     """Count sampled points whose defined value escapes the box evaluation.
 
     Samples uniformly from a bounded box; points where the expression is
     undefined are skipped.  Zero is the expected answer for any sound
-    interpretation.
+    interpretation.  Points are drawn and evaluated in chunks of 1024, one
+    pass of the column runner per chunk, so memory stays bounded for any
+    sample count; the points are the ones ``Random(seed).uniform`` draws
+    coordinate by coordinate, point after point.
     """
     dims = _box_dims(e, box)
     if any(d.is_empty for d in dims):
@@ -250,15 +256,17 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
         if not d.is_bounded:
             raise ValueError("inclusion sampling needs a bounded box")
     iv = eval_interval(e, interp, box)
-    rfn = compile_real(e, interp)
-    bounds = [(d.lo, d.hi) for d in dims]
-    u = random.Random(seed).uniform
+    run = _compile_columns(e, interp)
+    # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once
+    spans = [(d.lo, d.hi - d.lo) for d in dims]
+    n = len(spans)
+    rand = random.Random(seed).random
     violations = 0
-    for _ in range(samples):
-        pt = tuple([u(lo, hi) for lo, hi in bounds])
-        v = rfn(pt)
-        if v is not None and math.isfinite(v) and not member(v, iv):
-            violations += 1
+    for start in range(0, samples, _CHUNK):
+        draws = [lo + w * rand() for _ in range(min(_CHUNK, samples - start)) for lo, w in spans]
+        values = run([draws[k::n] for k in range(n)])
+        # the finiteness test skips undefined values (NaN) and infinite samples
+        violations += sum(1 for v in values if -math.inf < v < math.inf and not member(v, iv))
     return violations
 
 

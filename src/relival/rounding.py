@@ -63,6 +63,15 @@ _DIGIT_LIMIT = 10**_MAX_DIGITS
 # at most 5**k: under 14,286 digits.  A longer coefficient is refused before
 # Fraction(x) is built, which takes time quadratic in the length
 _MAX_COEFFICIENT = 14_300
+# an error message cuts a literal of over 3 * _SHOWN characters to its first and last _SHOWN
+_SHOWN = 12
+
+
+def _abridged(text: str) -> str:
+    """``text`` quoted for an error message; a long one cut to both ends, with its length."""
+    if len(text) <= 3 * _SHOWN:
+        return repr(text)
+    return f"{text[:_SHOWN] + '...' + text[-_SHOWN:]!r} ({len(text)} characters)"
 
 
 def next_down(x: float) -> float:
@@ -94,7 +103,14 @@ def _exact_value(x) -> "Fraction | float":
             # Decimal first: parses scientific notation and infinities exactly
             x = Decimal(x)
         except InvalidOperation:
-            return Fraction(x)  # "3/10" style; raises ValueError on junk
+            try:
+                return Fraction(x)  # "3/10" style
+            except ValueError:
+                # Fraction's own message echoes the text in full; a "p/q" may also
+                # fail on int's digit limit
+                raise ValueError(
+                    f"{_abridged(x)} is not a decimal or a p/q of at most {_MAX_DIGITS} digits each"
+                ) from None
     if isinstance(x, Decimal):
         if x.is_nan():
             raise ValueError("NaN is not a real value")
@@ -103,15 +119,15 @@ def _exact_value(x) -> "Fraction | float":
         # Fraction(x) builds 10**abs(exponent) in full; refuse first a magnitude that alone
         # puts the numerator (|x| >= 10**4300) or the denominator (|x| < 10**-4300) past it
         if x and not -_MAX_DIGITS <= x.adjusted() < _MAX_DIGITS:
-            raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
+            raise ValueError(f"{_abridged(str(x))} needs more than {_MAX_DIGITS} digits as a fraction")
         # str(x) shows every digit of the coefficient, so short text needs no count;
         # trailing zeros do not count
         if len(str(x)) > _MAX_COEFFICIENT:
             if len(bytes(x.as_tuple().digits).rstrip(b"\0")) > _MAX_COEFFICIENT:
-                raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
+                raise ValueError(f"{_abridged(str(x))} needs more than {_MAX_DIGITS} digits as a fraction")
         q = Fraction(x)
         if abs(q.numerator) >= _DIGIT_LIMIT or q.denominator >= _DIGIT_LIMIT:
-            raise ValueError(f"{x} needs more than {_MAX_DIGITS} digits as a fraction")
+            raise ValueError(f"{_abridged(str(x))} needs more than {_MAX_DIGITS} digits as a fraction")
         return q
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact real")
 

@@ -22,12 +22,24 @@ boxed once, by the constructor, which normalizes ``-0.0`` and emptiness.
 Point evaluation is strict about partiality: an undefined subterm makes
 the whole result undefined, and a defined result is always a finite
 float (overflow beyond the binary64 range counts as undefined).
+
+Sampling runs the point tape over columns: each slot holds one list of
+floats, one per sample, so the tape is walked once per batch instead of
+once per point.  Inside that runner NaN marks an undefined value (NaN
+propagates through IEEE arithmetic the way undefinedness does); no
+public function returns it.  The default real operations run as
+comprehension kernels that reproduce them bit for bit; any other
+operation runs sample by sample behind an adapter.  ``compile_real``
+keeps the scalar loop: for a single point it is several times faster
+than a batch of one, and it is the reference the column runner is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import inf, nan, sqrt
 from typing import Callable, Mapping
 
 from .expr import Expr, Unary, Var, _postorder, variable_sequence
@@ -162,6 +174,9 @@ class Interpretation:
 
     An interval operation that is not public in ``interval`` (a user's own)
     runs through an adapter: one box per argument and result on every call.
+    When sampling, a real operation returning NaN counts as undefined, as
+    ``None`` does, and an operation is called wherever its own arguments
+    are defined, even at points where another subterm is not.
     """
 
     real_ops: "Mapping[str, Callable]"
@@ -233,6 +248,13 @@ def _bind(e: Expr, lookup: Callable) -> "tuple[int, tuple]":
     return n, tuple((lookup(sym), a, b) for sym, a, b in ops)
 
 
+def _run(ops: tuple, s: list):
+    """Run bound tape operations over the argument slots ``s``; the last slot's value."""
+    for f, a, b in ops:
+        s.append(f(s[a]) if b < 0 else f(s[a], s[b]))
+    return s[-1]
+
+
 def compile_real(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a point evaluator.
 
@@ -255,6 +277,47 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
     return run
 
 
+# Column kernels of the default real operations: NaN in, NaN out, and NaN wherever the
+# scalar operation returns None, so each column entry equals the scalar result bit for bit.
+_COLUMN_KERNELS: "Mapping[Callable, Callable]" = {
+    _REAL_OPS["+"]: lambda A, B: [v if -inf < (v := x + y) < inf else nan for x, y in zip(A, B)],
+    _REAL_OPS["-"]: lambda A, B: [v if -inf < (v := x - y) < inf else nan for x, y in zip(A, B)],
+    _REAL_OPS["*"]: lambda A, B: [v if -inf < (v := x * y) < inf else nan for x, y in zip(A, B)],
+    _REAL_OPS["/"]: lambda A, B: [
+        v if y != 0.0 and -inf < (v := x / y) < inf else nan for x, y in zip(A, B)
+    ],
+    _REAL_OPS["neg"]: lambda A: [-x for x in A],
+    _REAL_OPS["abs"]: lambda A: list(map(abs, A)),
+    _REAL_OPS["sqrt"]: lambda A: [sqrt(x) if x >= 0.0 else nan for x in A],  # also "sqrtr"
+}
+
+
+def _column(f: Callable) -> Callable:
+    """``f``'s column kernel, or ``f`` called sample by sample."""
+    try:
+        return _COLUMN_KERNELS[f]
+    except (KeyError, TypeError):  # not a default real operation, or not hashable
+        def per_sample(*cols):
+            out = []
+            for args in zip(*cols):
+                v = None if any(x != x for x in args) else f(*args)
+                out.append(nan if v is None else v)  # a NaN result stays NaN
+            return out
+
+        return per_sample
+
+
+def _compile_columns(e: Expr, interp: Interpretation) -> Callable:
+    """Compile ``e`` once into a column evaluator for sampling.
+
+    The returned callable takes one list of floats per variable, ordered
+    like ``variable_sequence(e)`` and all of one length, and yields one
+    list of values, with NaN where the partial function is undefined.
+    """
+    n, ops = _bind(e, lambda sym: _column(interp.real_op(sym)))
+    return lambda cols: _run(ops, list(cols[:n]))
+
+
 def _kernel(f: Callable) -> Callable:
     """``f``'s pair kernel, or ``f`` behind the boxing adapter."""
     try:
@@ -270,14 +333,7 @@ def _kernel(f: Callable) -> Callable:
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a box evaluator (tuple of intervals in)."""
     n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
-
-    def run(args):
-        s = [(d.lo, d.hi) for d in args[:n]]
-        for f, a, b in ops:
-            s.append(f(s[a]) if b < 0 else f(s[a], s[b]))
-        return Interval(*s[-1])
-
-    return run
+    return lambda args: Interval(*_run(ops, [(d.lo, d.hi) for d in args[:n]]))
 
 
 def _check_arity(e: Expr, got: int):

@@ -269,6 +269,20 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("eval", "x", "--var", "x=[0,1." + "0" * 20_000 + "1]"),
+            ("eval", "1." + "0" * 20_000 + "1"),
+        ],
+    )
+    def test_long_literal_is_shortened_in_the_error(self, capsys, argv):
+        # the refused literal is echoed as its two ends and its length, not in full
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert len(err) < 200 and "4300 digits" in err and "20003 characters" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("eval", "1e999"),
             ("eval", "1e400"),
             ("eval", "x", "--var", "x=[1e999,1e999]"),

@@ -138,6 +138,28 @@ class TestRoundValue:
                 round_up(text)
             assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "text, length",
+        [
+            ("1." + "0" * 10**6 + "1", 10**6 + 3),  # refused by the coefficient count
+            ("1" + "0" * 5000, 5001),  # refused by the magnitude
+            ("1/" + "3" * 5000, 5002),  # Fraction's int conversion limit
+            ("1." + "0" * 5000 + "z", 5003),  # junk
+        ],
+    )
+    def test_long_literal_is_cut_in_the_message(self, text, length):
+        with pytest.raises(ValueError, match="4300 digits") as exc:
+            round_up(text)
+        message = str(exc.value)
+        assert len(message) < 120 and f"({length} characters)" in message
+        assert repr(text[:12] + "..." + text[-12:]) in message
+
+    def test_short_literal_is_shown_whole(self):
+        with pytest.raises(ValueError, match=r"'1E\+4300' needs more than 4300 digits"):
+            round_up("1e4300")
+        with pytest.raises(ValueError, match="^'abc' is not a decimal or a p/q of at most 4300 digits each$"):
+            round_up("abc")
+
     def test_underflow_to_zero(self):
         tiny = Fraction(1, 10**330)
         assert round_down(tiny) == 0.0

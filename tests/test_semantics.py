@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from relival.expr import Binary, Unary, Var, parse, variable_sequence
 from relival.interval import EMPTY, REALS, Box, Interval, add, member, subset
+from relival.rounding import MAX_FLOAT
 from relival.semantics import (
     UNDEFINED,
     Interpretation,
     RealResult,
+    _compile_columns,
     build_distribution,
     compile_interval,
     compile_real,
@@ -385,6 +387,103 @@ class TestKernelPath:
         e = ast("abs(-sqrt(sqrtr(x) * y / y + x - y))")
         assert eval_interval(e, interp, (Interval(1, 4), Interval(-1, 1))) == EMPTY
         assert eval_interval(e, DEFAULT, (Interval(1, 4), Interval(-1, 1))) == Interval(0, INF)
+
+def _real_through_adapter(interp):
+    """``interp`` with each real op behind a plain wrapper, which the column
+    runner calls sample by sample instead of running a column kernel."""
+
+    def wrap(f):
+        return lambda *a: f(*a)
+
+    return Interpretation({s: wrap(f) for s, f in interp.real_ops.items()}, interp.interval_ops, interp.name)
+
+
+# coordinates near the ends of the float range: sums and products overflow, and a
+# width of inf (from -MAX_FLOAT to MAX_FLOAT) turns every drawn sample into inf
+_WIDE_BOUNDS = [
+    (-MAX_FLOAT, MAX_FLOAT),
+    (MAX_FLOAT / 2, MAX_FLOAT),
+    (-MAX_FLOAT, -MAX_FLOAT / 4),
+    (1e300, 1e308),
+    (-1e-300, 1e-300),
+    (0.0, 0.0),
+    (-1.0, 1.0),
+]
+
+
+def _columns_as_points(e, interp, points):
+    """The column runner's values over ``points``, NaN read as None."""
+    cols = [list(c) for c in zip(*points)]
+    return [None if v != v else v for v in _compile_columns(e, interp)(cols)]
+
+
+class TestColumnRunner:
+    """The sampling column runner against ``compile_real``, one point at a time."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["default", "canonical", "relational"]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_compile_real(self, seed, mode, wide, wrapped):
+        interp = DEFAULT if mode == "default" else mode_select(DEFAULT, mode)
+        if wrapped:
+            interp = _real_through_adapter(interp)
+        rng = random.Random(seed)
+        e, box = random_case(rng, max_depth=6)
+        bounds = [rng.choice(_WIDE_BOUNDS) if wide else (d.lo, d.hi) for d in box]
+        points = [tuple(lo + (hi - lo) * rng.random() for lo, hi in bounds) for _ in range(48)]
+        points.append(tuple(lo for lo, _ in bounds))
+        points.append(tuple(hi for _, hi in bounds))
+        points.append(tuple(-0.0 for _ in bounds))
+        rfn = compile_real(e, interp)
+        want = [_bits(rfn(pt)) for pt in points]
+        assert [_bits(v) for v in _columns_as_points(e, interp, points)] == want
+
+    @pytest.mark.parametrize(
+        "source, point, want",
+        [
+            ("x + y", (MAX_FLOAT, MAX_FLOAT), None),
+            ("x - y", (-MAX_FLOAT, MAX_FLOAT), None),
+            ("x * y", (1e200, -1e200), None),
+            ("x / y", (1e300, 1e-300), None),
+            ("x / y", (1.0, 0.0), None),
+            ("x / y", (1.0, -0.0), None),
+            ("x / y", (-0.0, 3.0), -0.0),
+            ("-x", (0.0,), -0.0),
+            ("abs(x)", (-0.0,), 0.0),
+            ("sqrt(x)", (-0.0,), -0.0),
+            ("sqrtr(x)", (-1e-300,), None),
+            ("x", (INF,), INF),
+            ("-abs(x)", (INF,), -INF),
+            ("sqrt(x)", (INF,), INF),
+            ("x + y * z", (INF, 1.0, 0.0), None),
+            ("sqrt(x) + y", (-1.0, 2.0), None),
+            ("abs(-sqrt(x)) * y", (-1.0, 0.0), None),
+            ("x * y - x * y", (3.0, 0.5), 0.0),
+        ],
+    )
+    def test_edge_values(self, source, point, want):
+        e = ast(source)
+        for interp in (DEFAULT, _real_through_adapter(DEFAULT)):
+            assert _bits(compile_real(e, interp)(point)) == _bits(want)
+            assert [_bits(v) for v in _columns_as_points(e, interp, [point])] == [_bits(want)]
+
+    def test_user_op_nan_and_none_are_undefined(self):
+        calls = []
+
+        def odd(x):
+            calls.append(x)
+            return None if x < 0 else math.nan if x == 0 else x
+
+        interp = Interpretation({**DEFAULT.real_ops, "abs": odd}, DEFAULT.interval_ops)
+        points = [(-1.0,), (0.0,), (2.0,), (-4.0,)]
+        # abs(x) is undefined at -1 and 0; -abs(sqrt(x)) is never computed where sqrt(x) is not
+        assert _columns_as_points(ast("abs(x) + x"), interp, points) == [None, None, 4.0, None]
+        calls.clear()
+        assert _columns_as_points(ast("-abs(sqrt(x))"), interp, points) == [None, None, -math.sqrt(2.0), None]
+        assert calls == [0.0, math.sqrt(2.0)]
 
 
 class TestInclusion:
