@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .analysis import check_convergence, refine_toward, subdivide_enclosure
 from .expr import ParseError, parse, variable_sequence
 from .interval import Box, format_interval, hull_bounds, parse_interval
-from .semantics import default_interpretation, eval_interval, mode_select
-from .oracle import sample_inclusion
+from .semantics import default_interpretation, eval_interval, mode_select, sample_inclusion
 
 __all__ = ["main"]
 
@@ -129,6 +127,8 @@ def _parse_point(at_text: str, names, constants, user_names):
 
 def _emit(args, *, result=None, widths=None, converged=None, violations=None, text_lines=()):
     if args.json:
+        import json  # only --json needs it; every other run skips its import
+
         payload = {
             "result": result,
             "mode": args.mode or "default",

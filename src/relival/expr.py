@@ -81,17 +81,23 @@ class Expr:
 # equality, hashing and repr come from Expr
 @dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
+    """A variable leaf, named as in the source."""
+
     name: str
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Unary(Expr):
+    """A unary operation applied to one child."""
+
     op: str  # "neg", "abs", "sqrt" or "sqrtr"
     child: Expr
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Binary(Expr):
+    """A binary operation on a left and a right operand."""
+
     op: str  # "+", "-", "*" or "/"
     left: Expr
     right: Expr

@@ -3,16 +3,21 @@
 Everything here recomputes answers from first principles in exact
 rational arithmetic, deliberately sharing no code with the rounded
 engine: relational results are rebuilt from the defining equations with
-corner analysis plus symbolic treatment of zero divisors, ranges of
+corner analysis plus symbolic treatment of zero divisors, and ranges of
 single-occurrence product/sum expressions come from exact corner
-enumeration, and inclusion is probed by random sampling.  Oracle results
-use ``RationalInterval``: Fraction bounds in ``Interval``'s set format (an
-infinity for an absent bound, ``(inf, -inf)`` for the empty set), so
-comparisons against the engine are exact and then judged in float ULP steps.
+enumeration.  Oracle results use ``RationalInterval``: Fraction bounds in
+``Interval``'s set format (an infinity for an absent bound, ``(inf, -inf)``
+for the empty set), so comparisons against the engine are exact and then
+judged in float ULP steps.
 
-A plain-text manifest format records test cases (one per line, fields
+Random case generators draw expressions with matching boxes, and a
+plain-text manifest format records test cases (one per line, fields
 tab-separated: seed, expression, box, check name) so fixed corpora can
-be committed and replayed.
+be committed and replayed.  ``sample_inclusion``, the sampler behind
+``relival check``, runs the engine's own point evaluation, so it lives in
+``semantics`` and is re-exported here.  The package loads this module
+only on first use of one of its names, so the command line never
+imports it.
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+# member and eval_interval go unused here: the benchmark tracer patches each of
+# them, and variable_sequence, in this module's namespace, so each must stay bound
 from .expr import (
     Binary, Expr, Unary, Var, _fold, _postorder, occurs_once, parse, to_source, variable_sequence
 )
 from .interval import Box, Interval, member, parse_box
-from .semantics import Interpretation, _box_dims, _compile_columns, eval_interval
+from .semantics import _box_dims, eval_interval, sample_inclusion
 
 __all__ = [
     "RationalInterval",
@@ -234,40 +241,6 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
         if v > best_hi:
             best_hi = v
     return RationalInterval(best_lo, best_hi)
-
-
-_CHUNK = 1024  # samples drawn and evaluated together
-
-
-def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1000, seed: int = 0) -> int:
-    """Count sampled points whose defined value escapes the box evaluation.
-
-    Samples uniformly from a bounded box; points where the expression is
-    undefined are skipped.  Zero is the expected answer for any sound
-    interpretation.  Points are drawn and evaluated in chunks of 1024, one
-    pass of the column runner per chunk, so memory stays bounded for any
-    sample count; the points are the ones ``Random(seed).uniform`` draws
-    coordinate by coordinate, point after point.
-    """
-    dims = _box_dims(e, box)
-    if any(d.is_empty for d in dims):
-        return 0
-    for d in dims:
-        if not d.is_bounded:
-            raise ValueError("inclusion sampling needs a bounded box")
-    iv = eval_interval(e, interp, box)
-    run = _compile_columns(e, interp)
-    # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once
-    spans = [(d.lo, d.hi - d.lo) for d in dims]
-    n = len(spans)
-    rand = random.Random(seed).random
-    violations = 0
-    for start in range(0, samples, _CHUNK):
-        draws = [lo + w * rand() for _ in range(min(_CHUNK, samples - start)) for lo, w in spans]
-        values = run([draws[k::n] for k in range(n)])
-        # the finiteness test skips undefined values (NaN) and infinite samples
-        violations += sum(1 for v in values if -math.inf < v < math.inf and not member(v, iv))
-    return violations
 
 
 def _build_tree(rng: random.Random, depth: int, pool, positive, continuous: bool) -> Expr:

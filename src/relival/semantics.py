@@ -25,19 +25,21 @@ float (overflow beyond the binary64 range counts as undefined).
 
 Sampling runs the point tape over columns: each slot holds one list of
 floats, one per sample, so the tape is walked once per batch instead of
-once per point.  Inside that runner NaN marks an undefined value (NaN
-propagates through IEEE arithmetic the way undefinedness does); no
-public function returns it.  The default real operations run as
-comprehension kernels that reproduce them bit for bit; any other
-operation runs sample by sample behind an adapter.  ``compile_real``
-keeps the scalar loop: for a single point it is several times faster
-than a batch of one, and it is the reference the column runner is
-tested against.
+once per point.  ``sample_inclusion``, the sampler behind ``relival
+check``, draws its points in such batches.  Inside that runner NaN marks
+an undefined value (NaN propagates through IEEE arithmetic the way
+undefinedness does); no public function returns it.  The default real
+operations run as comprehension kernels that reproduce them bit for bit;
+any other operation runs sample by sample behind an adapter.
+``compile_real`` keeps the scalar loop: for a single point it is several
+times faster than a batch of one, and it is the reference the column
+runner is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from math import inf, nan, sqrt
 from typing import Callable, Mapping
@@ -316,6 +318,41 @@ def _compile_columns(e: Expr, interp: Interpretation) -> Callable:
     """
     n, ops = _bind(e, lambda sym: _column(interp.real_op(sym)))
     return lambda cols: _run(ops, list(cols[:n]))
+
+
+_CHUNK = 1024  # samples drawn and evaluated together
+
+
+def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1000, seed: int = 0) -> int:
+    """Count sampled points whose defined value escapes the box evaluation.
+
+    Samples uniformly from a bounded box; points where the expression is
+    undefined are skipped.  Zero is the expected answer for any sound
+    interpretation.  Points are drawn and evaluated in chunks of 1024, one
+    pass of the column runner per chunk, so memory stays bounded for any
+    sample count; the points are the ones ``Random(seed).uniform`` draws
+    coordinate by coordinate, point after point.
+    """
+    dims = _box_dims(e, box)
+    if any(d.is_empty for d in dims):
+        return 0
+    for d in dims:
+        if not d.is_bounded:
+            raise ValueError("inclusion sampling needs a bounded box")
+    iv = eval_interval(e, interp, box)
+    lo, hi = iv.lo, iv.hi  # no value lies in the empty result (inf, -inf)
+    run = _compile_columns(e, interp)
+    # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once
+    spans = [(d.lo, d.hi - d.lo) for d in dims]
+    n = len(spans)
+    rand = random.Random(seed).random
+    violations = 0
+    for start in range(0, samples, _CHUNK):
+        draws = [x0 + w * rand() for _ in range(min(_CHUNK, samples - start)) for x0, w in spans]
+        values = run([draws[k::n] for k in range(n)])
+        # the finiteness test skips undefined values (NaN) and infinite samples
+        violations += sum(1 for v in values if -inf < v < inf and not lo <= v <= hi)
+    return violations
 
 
 def _kernel(f: Callable) -> Callable:

@@ -350,6 +350,17 @@ class TestSampleInclusion:
         n = sample_inclusion(ast("x + y"), broken, box, samples=300, seed=4)
         assert n > 250
 
+    def test_infinite_values_are_not_violations(self):
+        # a real op that returns an infinity: no real value, so never counted,
+        # although it lies outside the bounded box result
+        import dataclasses
+
+        real_ops = dict(DEFAULT.real_ops)
+        real_ops["+"] = lambda a, b: math.inf if a < b else -math.inf
+        infinite = dataclasses.replace(DEFAULT, real_ops=real_ops, name="infinite")
+        box = Box((Interval(0, 1), Interval(0, 1)))
+        assert sample_inclusion(ast("x + y"), infinite, box, samples=300, seed=4) == 0
+
 
 def _per_point_inclusion(e, interp, box, samples, seed):
     """``sample_inclusion``'s count as one ``compile_real`` call per point,
