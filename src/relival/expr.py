@@ -15,6 +15,11 @@ binding that records the literal's exact value (a literal whose exact
 numerator or denominator needs more than 4300 digits is a parse error).
 Evaluators then treat constants as degenerate arguments, so the core
 semantics only ever deals with variables and operation symbols.
+
+The tokenizer reads each token, with the whitespace before it, in one
+regex match, and a parse gives out one shared ``Var`` per name: nodes
+are immutable and compare structurally, so sharing a leaf changes no
+result.
 """
 
 from __future__ import annotations
@@ -120,24 +125,29 @@ class ParseError(ValueError):
         self.position = position
 
 
+# one match per token, whitespace before it included; the match at the end of input
+# carries no group.  Without the \Z alternative a trailing run of whitespace would be
+# rescanned from each of its positions, in quadratic time.
 _TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/()])"
-    r"|(?P<ws>\s+)"
-    r"|(?P<bad>.)"
+    r"|(?P<bad>\S)"
+    r"|\Z)"
 )
 
 
 def _tokenize(source: str):
+    """``(kind, text, position)`` per token, ended by the sentinel ``(None, "", len(source))``."""
     tokens = []
     for m in _TOKEN.finditer(source):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
+        if kind is None:  # the end of input; finditer may match it twice
+            break
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((kind, m.group(), m.start()))
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append((None, "", len(source)))
     return tokens
 
 
@@ -149,58 +159,68 @@ def parse(source: str) -> "tuple[Expr, list[Binding]]":
     """Parse a source string into an AST plus its constant bindings.
 
     Bindings are listed in order of literal occurrence; the AST refers to
-    them by their fresh variable names.
+    them by their fresh variable names.  Leaves are immutable, so one
+    ``Var`` per name serves every occurrence of that name in the tree.
+    The root's variable sequence is cached as the parse finds it.
 
-    The parser is an operator-precedence loop over explicit operand and
-    operator stacks, so nesting depth is bounded by memory rather than
-    by the interpreter's recursion limit.  The operator stack holds
-    ``'('`` markers, pending prefix operations (``neg`` and the unary
-    words, which bind tighter than any infix operator) and pending infix
-    symbols.
+    The tokenizer takes each token, with the whitespace before it, in one
+    regex match.  The parser is an operator-precedence loop over explicit
+    operand and operator stacks, so nesting depth is bounded by memory
+    rather than by the interpreter's recursion limit.  The operator stack
+    holds ``'('`` markers, pending prefix operations (``neg`` and the
+    unary words, which bind tighter than any infix operator) and pending
+    infix symbols.
     """
     tokens = _tokenize(source)
-    used = {t for k, t, _ in tokens if k == "ident"}
+    leaves: dict = {}  # name -> its one Var, in order of first occurrence
+    used = None  # identifiers of the source, gathered at the first number literal
     bindings: list[Binding] = []
     fresh = 0
     operands: list[Expr] = []
     operators: list[str] = []
-    end = (None, "", len(source))
     i = 0
     want_operand = True
+    # only op tokens have the texts "-", "(", ")" and the infix symbols
     while True:
-        kind, text, at = tokens[i] if i < len(tokens) else end
+        kind, text, at = tokens[i]
         i += 1
         if want_operand:
-            if kind == "op" and text in ("-", "("):
+            if text == "-" or text == "(":
                 operators.append("neg" if text == "-" else "(")
                 continue
             if kind == "ident":
                 if text in UNARY_WORDS:
                     operators.append(text)
                     continue
-                if i < len(tokens) and tokens[i][:2] == ("op", "("):
+                if tokens[i][1] == "(":  # the sentinel ends the list, so tokens[i] exists
                     raise ParseError(f"unknown operation symbol {text!r}", at)
-                operands.append(Var(text))
+                leaf = leaves.get(text)
+                if leaf is None:
+                    leaf = leaves[text] = Var(text)
+                operands.append(leaf)
             elif kind == "num":
+                if used is None:
+                    used = {t for k, t, _ in tokens if k == "ident"}
                 while f"_c{fresh}" in used:
                     fresh += 1
                 name = f"_c{fresh}"
                 fresh += 1
-                used.add(name)
                 try:
                     value = _exact_value(text)
                 except ValueError as exc:
                     raise ParseError(f"bad number literal: {exc}", at) from None
                 bindings.append(Binding(name, text, value))
-                operands.append(Var(name))
+                leaf = leaves[name] = Var(name)
+                operands.append(leaf)
             elif kind is None:
                 raise ParseError("unexpected end of input", at)
             else:
                 raise ParseError(f"unexpected {text!r}", at)
-            _apply_prefix(operands, operators)
+            if operators and operators[-1] in _PREFIX:
+                _apply_prefix(operands, operators)
             want_operand = False
             continue
-        if kind == "op" and text in _PREC:
+        if text in _PREC:
             _apply_infix(operands, operators, _PREC[text])
             operators.append(text)
             want_operand = True
@@ -209,12 +229,16 @@ def parse(source: str) -> "tuple[Expr, list[Binding]]":
         _apply_infix(operands, operators, 0)
         if not operators:
             if kind is None:
-                return operands[0], bindings
+                root = operands[0]
+                # leaves appear in the tree in source order: its first occurrences
+                root.__dict__["_varseq"] = tuple(leaves)
+                return root, bindings
             raise ParseError(f"unexpected {text!r} after expression", at)
-        if not (kind == "op" and text == ")"):
+        if text != ")":
             raise ParseError("expected ')'", at)
         operators.pop()
-        _apply_prefix(operands, operators)
+        if operators and operators[-1] in _PREFIX:
+            _apply_prefix(operands, operators)
 
 
 def _apply_prefix(operands: list, operators: list):
@@ -296,17 +320,27 @@ def to_source(e: Expr) -> str:
     return _fold(e, lambda v: v.name, unary, binary)
 
 
-def _leaf_names(e: Expr) -> "list[str]":
+def _leaf_names(order: "list[Expr]") -> "list[str]":
     # leaves come out of a post-order walk left to right
-    return [node.name for node in _postorder(e) if isinstance(node, Var)]
+    return [node.name for node in order if isinstance(node, Var)]
+
+
+def _variable_sequence(e: Expr, order: "list[Expr]") -> "tuple[str, ...]":
+    """``variable_sequence(e)``, read off ``order``, the ``_postorder(e)``
+    list, when it is not cached yet."""
+    seq = e.__dict__.get("_varseq")
+    if seq is None:
+        seq = e.__dict__["_varseq"] = tuple(dict.fromkeys(_leaf_names(order)))
+    return seq
 
 
 def variable_sequence(e: Expr) -> "tuple[str, ...]":
     """Distinct variables of ``e``, ordered by first occurrence (left to
-    right, depth first).  Cached on the node it is asked of."""
+    right, depth first).  Cached on the node it is asked of; ``parse``
+    caches it on the root it returns."""
     seq = e.__dict__.get("_varseq")
     if seq is None:
-        seq = e.__dict__["_varseq"] = tuple(dict.fromkeys(_leaf_names(e)))
+        seq = _variable_sequence(e, _postorder(e))
     return seq
 
 
@@ -317,5 +351,5 @@ def depth(e: Expr) -> int:
 
 def occurs_once(e: Expr) -> bool:
     """True when no variable appears at more than one leaf."""
-    names = _leaf_names(e)
+    names = _leaf_names(_postorder(e))
     return len(names) == len(set(names))

@@ -33,6 +33,7 @@ import math
 import sys
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from math import inf, nextafter
 
 __all__ = [
     "MAX_FLOAT",
@@ -171,30 +172,30 @@ def add_down(a: float, b: float) -> float:
     Opposing infinities are a caller error (no set needs that sum).
     """
     s = a + b
-    if math.isinf(s):
-        if math.isinf(a) or math.isinf(b):
-            return s
-        return MAX_FLOAT if s > 0 else s
-    if math.isnan(s):
+    if -inf < s < inf:
+        # two-sum: err is the exact residue of the rounded sum
+        t = s - a
+        err = (a - (s - t)) + (b - t)
+        return nextafter(s, -inf) if err < 0 else s
+    if s != s:
         raise ValueError("sum of opposing infinities has no value")
-    # two-sum: err is the exact residue of the rounded sum
-    t = s - a
-    err = (a - (s - t)) + (b - t)
-    return next_down(s) if err < 0 else s
+    if math.isinf(a) or math.isinf(b):
+        return s
+    return MAX_FLOAT if s > 0 else s  # finite operands overflowed
 
 
 def add_up(a: float, b: float) -> float:
     """Upper bound on the exact ``a + b``."""
     s = a + b
-    if math.isinf(s):
-        if math.isinf(a) or math.isinf(b):
-            return s
-        return s if s > 0 else -MAX_FLOAT
-    if math.isnan(s):
+    if -inf < s < inf:
+        t = s - a
+        err = (a - (s - t)) + (b - t)
+        return nextafter(s, inf) if err > 0 else s
+    if s != s:
         raise ValueError("sum of opposing infinities has no value")
-    t = s - a
-    err = (a - (s - t)) + (b - t)
-    return next_up(s) if err > 0 else s
+    if math.isinf(a) or math.isinf(b):
+        return s
+    return s if s > 0 else -MAX_FLOAT
 
 
 def sub_down(a: float, b: float) -> float:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from math import inf, nan, sqrt
 from typing import Callable, Mapping
 
-from .expr import Expr, Unary, Var, _postorder, variable_sequence
+from .expr import Expr, Unary, Var, _postorder, _variable_sequence, variable_sequence
 from .interval import (
     _KERNELS,
     Box,
@@ -220,14 +220,20 @@ def mode_select(base: Interpretation, mode: str) -> Interpretation:
 
 
 def _tape(e: Expr) -> "tuple[int, tuple[tuple[str, int, int], ...]]":
-    """Argument count and operations of ``e``'s tape; cached on the node."""
+    """Argument count and operations of ``e``'s tape; cached on the node.
+
+    One walk of the tree gives the post-order list that both the variable
+    sequence (when ``e`` has none cached yet) and the operations are read
+    from.
+    """
     tape = e.__dict__.get("_tape")
     if tape is None:
-        names = variable_sequence(e)
+        order = _postorder(e)
+        names = _variable_sequence(e, order)
         slot: dict = {name: k for k, name in enumerate(names)}  # name or op key -> slot
         ops: list = []
         stack: list[int] = []  # slot of each finished subterm
-        for node in _postorder(e):
+        for node in order:
             if isinstance(node, Var):
                 stack.append(slot[node.name])
                 continue
@@ -331,8 +337,11 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     interpretation.  Points are drawn and evaluated in chunks of 1024, one
     pass of the column runner per chunk, so memory stays bounded for any
     sample count; the points are the ones ``Random(seed).uniform`` draws
-    coordinate by coordinate, point after point.
+    coordinate by coordinate, point after point.  At least one sample is
+    needed: zero would check nothing and still report no violations.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     dims = _box_dims(e, box)
     if any(d.is_empty for d in dims):
         return 0

@@ -1,12 +1,15 @@
 """Expression language: parsing, printing, structural queries."""
 
 import dataclasses
+import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relival import expr
 from relival.expr import (
     Binary,
     Binding,
@@ -87,6 +90,10 @@ class TestConstants:
         e, binds = parse("_c0 + 1")
         assert binds[0].name == "_c1"
         assert e == Binary("+", Var("_c0"), Var("_c1"))
+        # a name used after the literal is dodged too
+        e, binds = parse("1 + _c0 * 2")
+        assert [b.name for b in binds] == ["_c1", "_c2"]
+        assert e == Binary("+", Var("_c1"), Binary("*", Var("_c0"), Var("_c2")))
 
     def test_no_literals_no_bindings(self):
         _, binds = parse("x + y")
@@ -141,6 +148,20 @@ class TestParseErrors:
         with pytest.raises(ValueError):
             parse("x +")
 
+    def test_long_whitespace_in_linear_time(self):
+        # a trailing run of whitespace must not be rescanned from each of its positions;
+        # the sizes grow tenfold, so a quadratic tokenizer fails in seconds, not hours
+        for n in (10**3, 10**4, 10**5, 10**6):
+            for source in ("x" + " " * n, " " * n + "x"):
+                start = time.perf_counter()
+                assert parse(source) == (Var("x"), [])
+                assert time.perf_counter() - start < 1.0, (n, source[:2])
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match="unexpected character '\\$'") as exc:
+                parse("x" + " " * n + "$")
+            assert exc.value.position == n + 1
+            assert time.perf_counter() - start < 1.0, n
+
 
 class TestPrinter:
     def test_simple(self):
@@ -175,6 +196,136 @@ def _exprs():
         ),
         max_leaves=12,
     )
+
+
+# The tokenizer and parser as they were before each token became one regex match
+# (whitespace was a token kind of its own) and before leaves were shared: the reference
+# the single-match tokenizer and the parser are tested against.
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/()])"
+    r"|(?P<ws>\s+)"
+    r"|(?P<bad>.)"
+)
+
+
+def _reference_tokenize(source):
+    tokens = []
+    for m in _REFERENCE_TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
+    return tokens
+
+
+def _reference_parse(source):
+    tokens = _reference_tokenize(source)
+    used = {t for k, t, _ in tokens if k == "ident"}
+    bindings, fresh, operands, operators = [], 0, [], []
+    end = (None, "", len(source))
+    i, want_operand = 0, True
+    while True:
+        kind, text, at = tokens[i] if i < len(tokens) else end
+        i += 1
+        if want_operand:
+            if kind == "op" and text in ("-", "("):
+                operators.append("neg" if text == "-" else "(")
+                continue
+            if kind == "ident":
+                if text in expr.UNARY_WORDS:
+                    operators.append(text)
+                    continue
+                if i < len(tokens) and tokens[i][:2] == ("op", "("):
+                    raise ParseError(f"unknown operation symbol {text!r}", at)
+                operands.append(Var(text))
+            elif kind == "num":
+                while f"_c{fresh}" in used:
+                    fresh += 1
+                name = f"_c{fresh}"
+                fresh += 1
+                used.add(name)
+                try:
+                    value = expr._exact_value(text)
+                except ValueError as exc:
+                    raise ParseError(f"bad number literal: {exc}", at) from None
+                bindings.append(Binding(name, text, value))
+                operands.append(Var(name))
+            elif kind is None:
+                raise ParseError("unexpected end of input", at)
+            else:
+                raise ParseError(f"unexpected {text!r}", at)
+            expr._apply_prefix(operands, operators)
+            want_operand = False
+            continue
+        if kind == "op" and text in expr._PREC:
+            expr._apply_infix(operands, operators, expr._PREC[text])
+            operators.append(text)
+            want_operand = True
+            continue
+        expr._apply_infix(operands, operators, 0)
+        if not operators:
+            if kind is None:
+                return operands[0], bindings
+            raise ParseError(f"unexpected {text!r} after expression", at)
+        if not (kind == "op" and text == ")"):
+            raise ParseError("expected ')'", at)
+        operators.pop()
+        expr._apply_prefix(operands, operators)
+
+
+def _outcome(f, source):
+    try:
+        return "ok", f(source)
+    except ParseError as exc:
+        return "error", str(exc), exc.position
+
+
+# characters of every token kind, the unicode whitespace \s matches (\x1c, the
+# ideographic space) and characters no token takes ($, é)
+_CHARS = "0123456789.eE" + "axyzAZ_" + "+-*/()" + "$é" + "\t\n\r\x0b\x0c\x1c \u3000"
+# whole words, so that literals, reserved words and fresh-name collisions turn up often
+_WORDS = ["x", "y", "_c0", "_c1", "abs", "sqrt", "sqrtr", "foo", "2", "0.5", "1e3", ".5e-1",
+          "(", ")", "-", "+", "*", "/", " ", "\t", "\u3000", "$"]
+
+
+class TestAgainstReference:
+    @given(st.text(alphabet=_CHARS, max_size=40))
+    def test_tokens_match(self, source):
+        got = _outcome(expr._tokenize, source)
+        want = _outcome(_reference_tokenize, source)
+        if want[0] == "ok":  # the single-match tokenizer appends an end sentinel
+            want = ("ok", want[1] + [(None, "", len(source))])
+        assert got == want
+
+    @given(st.one_of(st.text(alphabet=_CHARS, max_size=40), st.lists(st.sampled_from(_WORDS)).map("".join)))
+    def test_parses_match(self, source):
+        got = _outcome(parse, source)
+        want = _outcome(_reference_parse, source)
+        assert got == want
+        if got[0] == "ok":
+            e = got[1][0]
+            assert repr(e) == repr(want[1][0])
+            # parse caches the variable sequence it found; a fresh walk agrees
+            assert variable_sequence(e) == tuple(dict.fromkeys(expr._leaf_names(expr._postorder(e))))
+
+
+class TestSharedLeaves:
+    def test_one_leaf_per_name(self):
+        e = ast("x*y + x")
+        assert e.left.left is e.right
+        separate = Binary("+", Binary("*", Var("x"), Var("y")), Var("x"))
+        assert e.left.left is not separate.right
+        assert e == separate and hash(e) == hash(separate)
+        assert repr(e) == repr(separate) and to_source(e) == to_source(separate)
+
+    def test_constants_get_their_own_leaves(self):
+        e = ast("1 + x + 1 + x")
+        assert e.left.right is not e.left.left.left  # _c1 and _c0
+        assert e.right is e.left.left.right
 
 
 class TestRoundTrip:

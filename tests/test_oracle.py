@@ -337,6 +337,12 @@ class TestSampleInclusion:
         with pytest.raises(ValueError):
             sample_inclusion(ast("x"), DEFAULT, Box((Interval(0, INF),)))
 
+    @pytest.mark.parametrize("samples", [0, -1, -5000])
+    def test_no_samples_rejected(self, samples):
+        # a count that draws no point would pass vacuously
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            sample_inclusion(ast("x"), DEFAULT, Box((Interval(0, 1),)), samples=samples)
+
     def test_counts_actual_violations(self):
         # deliberately broken interpretation: addition forgets its upper half
         import dataclasses

@@ -348,6 +348,15 @@ EDGES = sorted(
 )
 
 
+def _check_add_sub(a, b):
+    exact = Fraction(a) + Fraction(b)
+    assert add_down(a, b) == round_down(exact), (a, b)
+    assert add_up(a, b) == round_up(exact), (a, b)
+    exact = Fraction(a) - Fraction(b)
+    assert sub_down(a, b) == round_down(exact), (a, b)
+    assert sub_up(a, b) == round_up(exact), (a, b)
+
+
 class TestFastPathAgainstFractions:
     """The float fast path must give exactly the rational rounding."""
 
@@ -362,6 +371,16 @@ class TestFastPathAgainstFractions:
         exact = Fraction(a) / Fraction(b)
         assert div_down(a, b) == round_down(exact)
         assert div_up(a, b) == round_up(exact)
+
+    @given(finite, finite)
+    def test_add_and_sub_match_rational_rounding(self, a, b):
+        _check_add_sub(a, b)
+
+    def test_add_and_sub_on_edges(self):
+        # sums of the largest edges overflow: down to MAX_FLOAT, up to inf, or mirrored
+        for a in EDGES:
+            for b in EDGES:
+                _check_add_sub(a, b)
 
     def test_mul_and_div_on_edges(self):
         for a in EDGES:

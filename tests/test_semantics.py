@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relival.expr import Binary, Unary, Var, parse, variable_sequence
+from relival.expr import Binary, Unary, Var, _postorder, parse, to_source, variable_sequence
 from relival.interval import EMPTY, REALS, Box, Interval, add, member, subset
 from relival.rounding import MAX_FLOAT
 from relival.semantics import (
@@ -17,6 +17,7 @@ from relival.semantics import (
     Interpretation,
     RealResult,
     _compile_columns,
+    _tape,
     build_distribution,
     compile_interval,
     compile_real,
@@ -289,7 +290,45 @@ def _counting(table, calls):
     return {sym: wrap(sym, f) for sym, f in table.items()}
 
 
+def _two_walk_tape(e):
+    """Variable sequence and ``(n, ops)`` tape of ``e``, built over two walks of the
+    tree, one for each (and no cache): the reference the one-walk ``_tape`` is
+    tested against."""
+    names = tuple(dict.fromkeys(n.name for n in _postorder(e) if isinstance(n, Var)))
+    slot = {name: k for k, name in enumerate(names)}
+    ops, stack = [], []
+    for node in _postorder(e):
+        if isinstance(node, Var):
+            stack.append(slot[node.name])
+            continue
+        if isinstance(node, Unary):
+            key = (node.op, stack.pop(), -1)
+        else:
+            b = stack.pop()
+            key = (node.op, stack.pop(), b)
+        k = slot.get(key)
+        if k is None:
+            k = slot[key] = len(names) + len(ops)
+            ops.append(key)
+        stack.append(k)
+    return names, (len(names), tuple(ops))
+
+
 class TestTape:
+    @given(st.integers(0, 2**32 - 1))
+    def test_one_walk_matches_two(self, seed):
+        e, _ = random_case(random.Random(seed), max_depth=6)
+        names, tape = _two_walk_tape(e)
+        e.__dict__.pop("_varseq", None)  # _tape fills an empty cache
+        assert _tape(e) == tape
+        assert e.__dict__["_varseq"] == names == variable_sequence(e)
+        # parsed trees share their leaves, and parse caches the variable sequence
+        for source in (to_source(e), f"2 * ({to_source(e)}) - 0.5"):
+            parsed, _ = parse(source)
+            names, tape = _two_walk_tape(parsed)
+            assert _tape(parsed) == tape
+            assert variable_sequence(parsed) == names
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["default", "canonical"]))
     def test_matches_closure_routing(self, seed, mode):
         interp = DEFAULT if mode == "default" else mode_select(DEFAULT, mode)
