@@ -13,6 +13,15 @@ abbreviated.  An expression that starts with ``-`` is still read as an
 option: write it as ``(-x)``, or put it after ``--`` following the
 options.
 
+Every argument is declared once, in the ``_COMMON`` and ``_COMMANDS``
+tables, and both the parser and the set of options that take a value
+are read off them.  A call whose first argument names a subcommand
+builds the parser of that subcommand only.
+
+``--json`` prints strict JSON: an infinite width is the string
+``"inf"``, as in the text output.  Numbers, in ``--at`` as in
+expressions and intervals, are written in ASCII digits.
+
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
 1 check found violations, 2 expression/literal parse error or a count
 or tolerance option out of range (``--steps`` above 2100 included),
@@ -24,8 +33,8 @@ rejected (refinement target, or a box that is unbounded, or empty for
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
+from math import inf
 
 from .analysis import check_convergence, refine_toward, subdivide_enclosure
 from .expr import ParseError, parse, variable_sequence
@@ -107,6 +116,9 @@ def _parse_point(at_text: str, names, constants, user_names):
             f"--at needs {len(user_names)} value(s) for {', '.join(user_names)}, "
             f"got {len(tokens)}",
         )
+    if not at_text.isascii():
+        # float() would read other scripts' digits, which no other number input takes
+        raise _CliError(2, "bad --at value: numbers are written in ASCII")
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
@@ -132,7 +144,8 @@ def _emit(args, *, result=None, widths=None, converged=None, violations=None, te
         payload = {
             "result": result,
             "mode": args.mode or "default",
-            "widths": widths,
+            # strict JSON has no Infinity; "inf" is how the text output writes it
+            "widths": None if widths is None else ["inf" if w == inf else w for w in widths],
             "converged": converged,
             "violations": violations,
         }
@@ -157,7 +170,7 @@ def _report(args, report, *lines) -> int:
     _emit(
         args,
         result=text,
-        widths=list(report.widths),
+        widths=report.widths,
         converged=report.converged,
         text_lines=lines,
     )
@@ -215,83 +228,97 @@ def _cmd_check(args) -> int:
     return 0 if violations == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every argument is declared once, as (name, add_argument keywords).  The four
+# subcommands share _COMMON; _COMMANDS maps each name to its help, its handler and
+# its own options.
+_COMMON = (
+    ("expression", dict(
+        help="expression text, e.g. 'x*y + sqrt(z)'; write one that starts with "
+        "'-' as '(-x)', or after '--' following the options",
+    )),
+    ("--var", dict(
+        action="append",
+        metavar="NAME=[lo,hi]",
+        help="bind a variable to an interval (repeatable); bounds may be "
+        "decimal literals, inf, or -inf, and round outward",
+    )),
+    ("--mode", dict(
+        choices=("relational", "canonical"),
+        help="rebind / and sqrt as a family (default: relational division, "
+        "image sqrt; sqrtr is always relational)",
+    )),
+    ("--json", dict(action="store_true", help="emit one JSON object")),
+)
+
+_COMMANDS = {
+    "eval": ("evaluate over the bound box", _cmd_eval, ()),
+    "refine": ("halve the box toward a point and test convergence", _cmd_refine, (
+        ("--at", dict(required=True, metavar="v1,v2,...",
+                      help="target point, one value per variable in first-use order")),
+        ("--steps", dict(type=int, default=40,
+                         help=f"halving steps, at most {_MAX_STEPS} (default 40)")),
+        ("--tol", dict(type=float, default=1e-9, help="final width tolerance (default 1e-9)")),
+    )),
+    "enclose": ("subdivision enclosure at a tolerance", _cmd_enclose, (
+        ("--tol", dict(type=float, required=True, help="leaf box width tolerance")),
+        ("--max-boxes", dict(type=int, default=4096, help="box budget (default 4096)")),
+    )),
+    "check": ("sample points and count inclusion violations", _cmd_check, (
+        ("--samples", dict(type=int, default=1000, help="sample count (default 1000)")),
+        ("--seed", dict(type=int, default=0, help="sampling seed (default 0)")),
+    )),
+}
+
+# the options of any subcommand that take one value: all but the store_true flags
+_TAKES_VALUE = frozenset(
+    name
+    for _, _, options in _COMMANDS.values()
+    for name, keywords in _COMMON + options
+    if name.startswith("-") and keywords.get("action") != "store_true"
+)
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``relival`` parser; if ``command`` names a subcommand, only its subparser.
+
+    argparse dispatches only to the subparser that the first argument
+    names, so a call that names one needs no other.  The other names
+    still show in the top-level usage line, through the metavar that
+    argparse would otherwise build from the subparsers it holds.  Any
+    other ``command`` (``None`` included) builds all four, for the
+    top-level help, the invalid-choice error and the missing-command
+    error (which names the dest when no metavar is given).
+    """
     parser = argparse.ArgumentParser(
         prog="relival",
         description="Interval evaluation of arithmetic expressions with "
         "outward rounding and total relational division and roots.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "expression",
-        help="expression text, e.g. 'x*y + sqrt(z)'; write one that starts with "
-        "'-' as '(-x)', or after '--' following the options",
-    )
-    common.add_argument(
-        "--var",
-        action="append",
-        metavar="NAME=[lo,hi]",
-        help="bind a variable to an interval (repeatable); bounds may be "
-        "decimal literals, inf, or -inf, and round outward",
-    )
-    common.add_argument(
-        "--mode",
-        choices=("relational", "canonical"),
-        help="rebind / and sqrt as a family (default: relational division, "
-        "image sqrt; sqrtr is always relational)",
-    )
-    common.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    # every parser takes only full option names, which are the names glued to values
-    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
-
-    p_eval = add("eval", help="evaluate over the bound box")
-    p_eval.set_defaults(fn=_cmd_eval)
-
-    p_refine = add("refine", help="halve the box toward a point and test convergence")
-    p_refine.add_argument("--at", required=True, metavar="v1,v2,...",
-                          help="target point, one value per variable in first-use order")
-    p_refine.add_argument("--steps", type=int, default=40,
-                          help=f"halving steps, at most {_MAX_STEPS} (default 40)")
-    p_refine.add_argument("--tol", type=float, default=1e-9,
-                          help="final width tolerance (default 1e-9)")
-    p_refine.set_defaults(fn=_cmd_refine)
-
-    p_enc = add("enclose", help="subdivision enclosure at a tolerance")
-    p_enc.add_argument("--tol", type=float, required=True, help="leaf box width tolerance")
-    p_enc.add_argument("--max-boxes", type=int, default=4096, dest="max_boxes",
-                       help="box budget (default 4096)")
-    p_enc.set_defaults(fn=_cmd_enclose)
-
-    p_chk = add("check", help="sample points and count inclusion violations")
-    p_chk.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
-    p_chk.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p_chk.set_defaults(fn=_cmd_check)
-
+    if command in _COMMANDS:
+        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = _COMMANDS, None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, options = _COMMANDS[name]
+        # only full option names, which are the names glued to their values
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for arg, keywords in _COMMON + options:
+            p.add_argument(arg, **keywords)
     return parser
 
 
-def _join_option_values(argv, parser) -> list:
+def _join_option_values(argv) -> list:
     """Glue each value-taking option to the token after it, up to ``--``.
 
     ``["--at", "-1,2"]`` becomes ``["--at=-1,2"]``, which argparse reads
     as a value; left apart, argparse would read a value that starts with
     ``-`` (other than a plain negative number) as an option.  The options
-    glued are those of ``parser``'s subcommands that take one value.  No
-    parser accepts an abbreviated option name, so the names glued are
-    exactly the names accepted.
+    glued are those of any subcommand that take one value.  No parser
+    accepts an abbreviated option name, so the names glued are exactly
+    the names accepted.
     """
-    sub = next(a for a in parser._actions if a.dest == "command")
-    takes_value = {
-        name
-        for p in sub.choices.values()
-        for action in p._actions
-        if action.nargs is None
-        for name in action.option_strings
-    }
     out = []
     tokens = iter(argv)
     for tok in tokens:
@@ -299,7 +326,7 @@ def _join_option_values(argv, parser) -> list:
             out.append(tok)
             out.extend(tokens)
             break
-        if tok in takes_value:
+        if tok in _TAKES_VALUE:
             value = next(tokens, None)
             if value is not None:
                 tok = f"{tok}={value}"
@@ -310,10 +337,10 @@ def _join_option_values(argv, parser) -> list:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_join_option_values(argv, parser))
+    args = _build_parser(argv[0] if argv else None).parse_args(_join_option_values(argv))
+    _, handler, _ = _COMMANDS[args.command]
     try:
-        return args.fn(args)
+        return handler(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -32,6 +32,7 @@ from math import copysign
 # sub_down goes unused here: the benchmark tracer patches each rounding helper
 # in this module's namespace, so each must stay bound
 from .rounding import (
+    _NINF,
     _abridged,
     add_down,
     add_up,
@@ -74,7 +75,6 @@ __all__ = [
 ]
 
 _INF = math.inf
-_NINF = -math.inf
 
 
 @dataclass(frozen=True, slots=True)

@@ -55,6 +55,9 @@ __all__ = [
 
 MAX_FLOAT = sys.float_info.max
 
+# -inf as a constant: the hot paths below would otherwise negate inf on every call
+_NINF = -inf
+
 # CPython's default limit on int string conversion: a "p/q" bound with a longer
 # numerator or denominator fails in Fraction(str), and a decimal one is held to it too
 _MAX_DIGITS = 4300
@@ -100,6 +103,9 @@ def _exact_value(x) -> "Fraction | float":
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        if not x.isascii():
+            # Decimal and Fraction would read other scripts' digits, which no parser takes
+            raise ValueError(f"{_abridged(x)} is not ASCII text")
         try:
             # Decimal first: parses scientific notation and infinities exactly
             x = Decimal(x)
@@ -172,11 +178,11 @@ def add_down(a: float, b: float) -> float:
     Opposing infinities are a caller error (no set needs that sum).
     """
     s = a + b
-    if -inf < s < inf:
+    if _NINF < s < inf:
         # two-sum: err is the exact residue of the rounded sum
         t = s - a
         err = (a - (s - t)) + (b - t)
-        return nextafter(s, -inf) if err < 0 else s
+        return nextafter(s, _NINF) if err < 0 else s
     if s != s:
         raise ValueError("sum of opposing infinities has no value")
     if math.isinf(a) or math.isinf(b):
@@ -187,7 +193,7 @@ def add_down(a: float, b: float) -> float:
 def add_up(a: float, b: float) -> float:
     """Upper bound on the exact ``a + b``."""
     s = a + b
-    if -inf < s < inf:
+    if _NINF < s < inf:
         t = s - a
         err = (a - (s - t)) + (b - t)
         return nextafter(s, inf) if err > 0 else s

@@ -47,6 +47,7 @@ from typing import Callable, Mapping
 from .expr import Expr, Unary, Var, _postorder, _variable_sequence, variable_sequence
 from .interval import (
     _KERNELS,
+    _NINF,
     Box,
     Interval,
     absolute,
@@ -136,7 +137,7 @@ UNDEFINED = RealResult()
 
 def _finite_or_none(v: float) -> "float | None":
     # overflow past the float range is not a representable real result
-    return v if -math.inf < v < math.inf else None
+    return v if _NINF < v < inf else None
 
 
 def _real_sqrt(a: float) -> "float | None":
@@ -288,11 +289,11 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
 # Column kernels of the default real operations: NaN in, NaN out, and NaN wherever the
 # scalar operation returns None, so each column entry equals the scalar result bit for bit.
 _COLUMN_KERNELS: "Mapping[Callable, Callable]" = {
-    _REAL_OPS["+"]: lambda A, B: [v if -inf < (v := x + y) < inf else nan for x, y in zip(A, B)],
-    _REAL_OPS["-"]: lambda A, B: [v if -inf < (v := x - y) < inf else nan for x, y in zip(A, B)],
-    _REAL_OPS["*"]: lambda A, B: [v if -inf < (v := x * y) < inf else nan for x, y in zip(A, B)],
+    _REAL_OPS["+"]: lambda A, B: [v if _NINF < (v := x + y) < inf else nan for x, y in zip(A, B)],
+    _REAL_OPS["-"]: lambda A, B: [v if _NINF < (v := x - y) < inf else nan for x, y in zip(A, B)],
+    _REAL_OPS["*"]: lambda A, B: [v if _NINF < (v := x * y) < inf else nan for x, y in zip(A, B)],
     _REAL_OPS["/"]: lambda A, B: [
-        v if y != 0.0 and -inf < (v := x / y) < inf else nan for x, y in zip(A, B)
+        v if y != 0.0 and _NINF < (v := x / y) < inf else nan for x, y in zip(A, B)
     ],
     _REAL_OPS["neg"]: lambda A: [-x for x in A],
     _REAL_OPS["abs"]: lambda A: list(map(abs, A)),
@@ -360,7 +361,7 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
         draws = [x0 + w * rand() for _ in range(min(_CHUNK, samples - start)) for x0, w in spans]
         values = run([draws[k::n] for k in range(n)])
         # the finiteness test skips undefined values (NaN) and infinite samples
-        violations += sum(1 for v in values if -inf < v < inf and not lo <= v <= hi)
+        violations += sum(1 for v in values if _NINF < v < inf and not lo <= v <= hi)
     return violations
 
 

@@ -1,14 +1,18 @@
 """Command line behavior: output text, JSON payloads, exit codes."""
 
+import argparse
 import contextlib
+import functools
 import io
 import json
+import sys
 import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from relival import cli
 from relival.cli import main
 from relival.interval import parse_interval, subset
 
@@ -21,15 +25,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_any(argv):
+def run_any(argv, call=main):
     """(exit code, stdout, stderr) of one call, argparse exits included."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = call(list(argv))
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestEval:
@@ -112,6 +123,15 @@ class TestRefine:
         assert len(payload["widths"]) == 41
         assert code == 0
 
+    def test_json_infinite_width_is_a_string(self, capsys):
+        # strict JSON has no Infinity: an infinite width is "inf", as on the widths: line
+        argv = ("refine", "x", "--var", "x=[-1e308,1e308]", "--at", "0", "--steps", "1")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 4
+        assert _strict_json(out)["widths"] == ["inf", 1e308]
+        _, text, _ = run(capsys, *argv)
+        assert text.splitlines()[1] == "widths: inf 1e+308"
+
     def test_undefined_target_exit_five(self, capsys):
         code, _, err = run(capsys, "refine", "x / y", "--var", "x=[1,2]",
                            "--var", "y=[-1,1]", "--at", "1.5,0")
@@ -176,6 +196,14 @@ class TestEnclose:
         assert payload["result"] == "[-0.0009765625,0.0009765625]"
         assert payload["converged"] is True
         assert code == 0
+
+    def test_json_infinite_width_is_a_string(self, capsys):
+        code, out, _ = run(capsys, "enclose", "x", "--var", "x=[-1e308,1e308]",
+                           "--tol", "1", "--max-boxes", "1", "--json")
+        payload = _strict_json(out)
+        assert code == 4
+        assert list(payload) == JSON_KEYS
+        assert payload["widths"] == ["inf"]
 
 
 class TestCheck:
@@ -291,6 +319,23 @@ class TestArgumentErrors:
     )
     def test_literals_past_the_float_range_still_read(self, capsys, argv):
         assert run(capsys, *argv) == (0, "[1.7976931348623157e+308,inf]\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("eval", "x + \u0663", "--var", "x=[0,1]"), "unexpected character '\u0663'"),
+            (("eval", "x", "--var", "x=[\u0663,\uff14]"), "not ASCII"),
+            (("refine", "x", "--var", "x=[0,9]", "--at", "\u0663"), "bad --at value"),
+            (("refine", "x", "--var", "x=[0,1]", "--at", "\u0660.\u0665"), "bad --at value"),
+            (("refine", "x", "--var", "x=[0,1]", "--at", "\u30000.5"), "bad --at value"),
+        ],
+    )
+    def test_non_ascii_numbers_exit_two(self, capsys, argv, message):
+        # float() and Decimal read the digits of every script; relival reads ASCII only
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert message in err
 
     def test_bad_var_syntax_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x[0,1]")
@@ -542,6 +587,9 @@ def _argvs(draw):
     elif command == "check":
         argv += opt("--samples", str(draw(st.integers(-2, 5))))
         argv += opt("--seed", str(draw(st.integers(-9, 9))))
+    if not draw(st.integers(0, 7)):
+        # a first token that names no subcommand, which argparse refuses
+        argv[0] = draw(st.sampled_from(["frobnicate", "Eval", "", "--", "--json", "--at", "-x"]))
     return argv
 
 
@@ -567,3 +615,187 @@ class TestArgvFuzz:
         else:
             assert code in (0, 1, 4)
             assert err == "" and out
+
+
+# -- the option table against the parser it replaced ---------------------------
+
+
+def _reference_parser():
+    """The parser as built before the option table: a ``common`` parent parser and
+    four hand-written subparsers, every one filled in on every call."""
+    parser = argparse.ArgumentParser(
+        prog="relival",
+        description="Interval evaluation of arithmetic expressions with "
+        "outward rounding and total relational division and roots.",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "expression",
+        help="expression text, e.g. 'x*y + sqrt(z)'; write one that starts with "
+        "'-' as '(-x)', or after '--' following the options",
+    )
+    common.add_argument(
+        "--var",
+        action="append",
+        metavar="NAME=[lo,hi]",
+        help="bind a variable to an interval (repeatable); bounds may be "
+        "decimal literals, inf, or -inf, and round outward",
+    )
+    common.add_argument(
+        "--mode",
+        choices=("relational", "canonical"),
+        help="rebind / and sqrt as a family (default: relational division, "
+        "image sqrt; sqrtr is always relational)",
+    )
+    common.add_argument("--json", action="store_true", help="emit one JSON object")
+
+    add = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
+
+    p_eval = add("eval", help="evaluate over the bound box")
+    p_eval.set_defaults(fn=cli._cmd_eval)
+
+    p_refine = add("refine", help="halve the box toward a point and test convergence")
+    p_refine.add_argument("--at", required=True, metavar="v1,v2,...",
+                          help="target point, one value per variable in first-use order")
+    p_refine.add_argument("--steps", type=int, default=40,
+                          help="halving steps, at most 2100 (default 40)")
+    p_refine.add_argument("--tol", type=float, default=1e-9,
+                          help="final width tolerance (default 1e-9)")
+    p_refine.set_defaults(fn=cli._cmd_refine)
+
+    p_enc = add("enclose", help="subdivision enclosure at a tolerance")
+    p_enc.add_argument("--tol", type=float, required=True, help="leaf box width tolerance")
+    p_enc.add_argument("--max-boxes", type=int, default=4096, dest="max_boxes",
+                       help="box budget (default 4096)")
+    p_enc.set_defaults(fn=cli._cmd_enclose)
+
+    p_chk = add("check", help="sample points and count inclusion violations")
+    p_chk.add_argument("--samples", type=int, default=1000, help="sample count (default 1000)")
+    p_chk.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    p_chk.set_defaults(fn=cli._cmd_check)
+
+    return parser
+
+
+def _takes_value(parser):
+    """The option strings, over every subparser, of the actions that take one value."""
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return {
+        name
+        for p in sub.choices.values()
+        for action in p._actions
+        if action.nargs is None
+        for name in action.option_strings
+    }
+
+
+def _reference_args(argv):
+    parser = _reference_parser()
+    tokens, takes_value = iter(argv), _takes_value(parser)
+    glued = []
+    for tok in tokens:
+        if tok == "--":
+            glued += [tok, *tokens]
+            break
+        if tok in takes_value:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        glued.append(tok)
+    args = vars(parser.parse_args(glued))
+    return args.pop("fn"), args
+
+
+def _reference_main(argv):
+    fn, args = _reference_args(argv)
+    try:
+        return fn(argparse.Namespace(**args))
+    except cli._CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
+
+
+def _table_args(argv):
+    parser = cli._build_parser(argv[0] if argv else None)
+    return vars(parser.parse_args(cli._join_option_values(argv)))
+
+
+_COMMAND_NAMES = ("eval", "refine", "enclose", "check")
+
+# every --help and -h, argparse's refusals, and calls that run
+_BATTERY = [
+    (),
+    ("--help",),
+    ("-h",),
+    ("-h", "eval"),
+    ("frobnicate", "x"),
+    ("Eval", "x"),
+    ("--",),
+    ("--", "eval", "x", "--var", "x=[0,1]"),
+    ("--json",),
+    ("--at", "-1,2"),
+    *((name, flag) for name in _COMMAND_NAMES for flag in ("--help", "-h")),
+    *((name, "x", "--var", "x=[0,1]", "-h") for name in _COMMAND_NAMES),
+    *((name,) for name in _COMMAND_NAMES),
+    ("eval", "x", "--var", "x=[0,1]"),
+    ("eval", "x", "--json", "--var", "x=[0,1]"),
+    ("eval", "x", "--var", "x=[0,1]", "--json=1"),
+    ("eval", "x", "--var", "x=[0,1]", "--mode", "affine"),
+    ("eval", "x", "--var", "x=[0,1]", "--mode=relational", "--mode", "canonical"),
+    ("eval", "x", "--var", "x=[0,1]", "--at", "-1,2"),
+    ("eval", "x", "--var", "x=[0,1]", "--at=-1,2"),
+    ("eval", "-x", "--var", "x=[0,1]"),
+    ("eval", "--var", "x=[0,1]", "--", "-x"),
+    ("eval", "x", "y", "--var", "x=[0,1]"),
+    ("refine", "x", "--var", "x=[0,1]"),
+    ("refine", "x", "--var", "x=[0,1]", "--at"),
+    ("refine", "x", "--var", "x=[-1,1]", "--a", "0.5"),
+    ("refine", "x", "--var", "x=[-1,1]", "--at=0.5", "--ste", "-1_0"),
+    ("refine", "x", "--var", "x=[-1,1]", "--at", "-0.5", "--steps", "2", "--tol", "1"),
+    ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "--max-boxes", "3"),
+    ("enclose", "x", "--var", "x=[0,1]"),
+    ("enclose", "x", "--var", "x=[0,1]", "--tol", "big"),
+    ("enclose", "x", "--var", "x=[0,1]", "--tol", "1", "--max-box", "3"),
+    ("enclose", "x", "--var", "x=[0,1]", "--tol", "1", "--samples", "3"),
+    ("enclose", "x - x", "--var", "x=[0,1]", "--tol", "1e-3", "--max-boxes", "64", "--json"),
+    ("check", "x", "--var", "x=[0,1]", "--frob"),
+    ("check", "x", "--var", "x=[0,1]", "--samples", "many"),
+    ("check", "x", "--var", "x=[0,1]", "--tol", "1"),
+    ("check", "x*x", "--var", "x=[0,1]", "--samples", "5", "--seed", "-3"),
+]
+
+
+class TestParserTable:
+    @pytest.mark.parametrize("argv", _BATTERY, ids=" ".join)
+    def test_same_as_the_parent_parser(self, monkeypatch, argv):
+        # help text wraps at the terminal width, which argparse reads from COLUMNS
+        monkeypatch.setenv("COLUMNS", "100")
+        assert run_any(argv) == run_any(argv, _reference_main)
+
+    def test_battery_runs_and_refuses(self):
+        # the battery reaches the handlers too, not only argparse's refusals
+        codes = {run_any(argv)[0] for argv in _BATTERY}
+        assert codes == {0, 2, 4}
+
+    def test_takes_value_read_off_the_full_parser(self):
+        assert cli._TAKES_VALUE == _takes_value(cli._build_parser())
+        assert cli._TAKES_VALUE == _takes_value(_reference_parser())
+
+    @pytest.mark.parametrize("name", _COMMAND_NAMES)
+    def test_a_named_command_builds_only_its_parser(self, name):
+        sub = next(a for a in cli._build_parser(name)._actions if a.dest == "command")
+        assert list(sub.choices) == [name]
+        full = next(a for a in cli._build_parser()._actions if a.dest == "command")
+        assert list(full.choices) == list(_COMMAND_NAMES)
+        assert [a.option_strings for a in sub.choices[name]._actions] == [
+            a.option_strings for a in full.choices[name]._actions
+        ]
+
+    @given(_argvs())
+    def test_parsed_arguments_match_the_parent_parser(self, argv):
+        table = run_any(argv, _table_args)
+        reference = run_any(argv, lambda a: _reference_args(a)[1])
+        assert table == reference

@@ -144,6 +144,16 @@ class TestParseErrors:
         assert exc.value.position == 4
         assert "4300 digits" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [("x + \u0663", 4), ("\uff11\uff12", 0), ("x*1\u0663", 3), ("x\u0663", 1), ("\u0661.5", 0)],
+    )
+    def test_digits_of_other_scripts_rejected(self, source, position):
+        # number literals are ASCII, like identifiers; "\u0663" is ARABIC-INDIC DIGIT THREE
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(source)
+        assert exc.value.position == position
+
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse("x +")

@@ -126,6 +126,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Interval(0.0, "spam")
 
+    @pytest.mark.parametrize(
+        "lo, hi", [("\u0663", "4"), ("0", "\uff14"), ("\u0661.5", 2), ("1/\u0663", 1)]
+    )
+    def test_non_ascii_descriptors_rejected(self, lo, hi):
+        # Decimal and Fraction read the digits of every script; bounds take ASCII only
+        with pytest.raises(ValueError, match="not ASCII"):
+            Interval(lo, hi)
+        with pytest.raises(ValueError, match="not ASCII"):
+            parse_interval(f"[{lo},{hi}]")
+
     def test_boundedness(self):
         assert Interval(1.0, 2.0).is_bounded
         assert not Interval(1.0, INF).is_bounded
