@@ -19,8 +19,8 @@ are read off them.  A call whose first argument names a subcommand
 builds the parser of that subcommand only.
 
 ``--json`` prints strict JSON: an infinite width is the string
-``"inf"``, as in the text output.  Numbers, in ``--at`` as in
-expressions and intervals, are written in ASCII digits.
+``"inf"``, as in the text output.  ``--at`` values are number text as
+bounds are (see ``rounding``), rounded to nearest.
 
 Exit codes: 0 success (refine/enclose: converged; check: no violations),
 1 check found violations, 2 expression/literal parse error or a count
@@ -39,6 +39,7 @@ from math import inf
 from .analysis import check_convergence, refine_toward, subdivide_enclosure
 from .expr import ParseError, parse, variable_sequence
 from .interval import Box, format_interval, hull_bounds, parse_interval
+from .rounding import _exact_value
 from .semantics import default_interpretation, eval_interval, mode_select, sample_inclusion
 
 __all__ = ["main"]
@@ -109,31 +110,26 @@ def _assemble(expr_text: str, var_flags):
 
 def _parse_point(at_text: str, names, constants, user_names):
     # an empty --at gives no values, for expressions without variables
-    tokens = [t.strip() for t in at_text.split(",")] if at_text.strip() else []
+    tokens = at_text.split(",") if at_text.strip() else []
     if len(tokens) != len(user_names):
         raise _CliError(
             2,
             f"--at needs {len(user_names)} value(s) for {', '.join(user_names)}, "
             f"got {len(tokens)}",
         )
-    if not at_text.isascii():
-        # float() would read other scripts' digits, which no other number input takes
-        raise _CliError(2, "bad --at value: numbers are written in ASCII")
     try:
-        values = [float(t) for t in tokens]
+        # read like bounds and literals, then rounded to nearest with the constants
+        values = {n: (f"--at value for {n}", _exact_value(t)) for n, t in zip(user_names, tokens)}
     except ValueError as exc:
         raise _CliError(2, f"bad --at value: {exc}") from None
-    by_name = dict(zip(user_names, values))
+    values.update((n, (f"constant {b.literal}", b.value)) for n, b in constants.items())
     point = []
     for n in names:
-        if n in constants:
-            try:
-                point.append(float(constants[n].value))
-            except OverflowError:
-                literal = constants[n].literal
-                raise _CliError(5, f"constant {literal} is beyond the float range") from None
-        else:
-            point.append(by_name[n])
+        label, value = values[n]
+        try:
+            point.append(float(value))
+        except OverflowError:
+            raise _CliError(5, f"{label} is beyond the float range") from None
     return tuple(point)
 
 

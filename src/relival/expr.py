@@ -8,9 +8,9 @@ Grammar (left-associative, usual precedence):
             | ('-' | 'abs' | 'sqrt' | 'sqrtr') factor
 
 Identifiers match ``[a-zA-Z_][a-zA-Z0-9_]*``; ``abs``, ``sqrt`` and
-``sqrtr`` are reserved operation words.  A NUMBER is a decimal literal
-in ASCII digits, ``[0-9]+.?[0-9]*`` or ``.[0-9]+``, with an optional
-exponent ``[eE][+-]?[0-9]+``; a digit of another script, such as
+``sqrtr`` are reserved operation words.  A NUMBER is ``rounding``'s
+decimal, ``[0-9]+(.[0-9]*)?`` or ``.[0-9]+`` with an optional exponent
+``[eE][+-]?[0-9]+``, in ASCII digits: a digit of another script, such as
 ``٣``, is an unexpected character.  Number literals do not appear in
 the AST: the parser replaces each with a fresh variable (``_c0``,
 ``_c1``, ... skipping names already used in the source) and returns a
@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rounding import _exact_value
+from .rounding import _DECIMAL, _exact_value
 
 __all__ = [
     "Expr",
@@ -130,10 +130,9 @@ class ParseError(ValueError):
 
 # one match per token, whitespace before it included; the match at the end of input
 # carries no group.  Without the \Z alternative a trailing run of whitespace would be
-# rescanned from each of its positions, in quadratic time.  Digits are ASCII, like
-# identifiers: \d would also match the digits of other scripts.
+# rescanned from each of its positions, in quadratic time.  NUMBER is rounding's decimal.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    rf"\s*(?:(?P<num>{_DECIMAL})"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/()])"
     r"|(?P<bad>\S)"

@@ -403,8 +403,7 @@ def format_interval(x: Interval) -> str:
 def parse_interval(text: str) -> Interval:
     """Parse ``empty`` or ``[lo,hi]``; literal bounds round outward.
 
-    Bounds are decimal literals or ``inf``/``-inf``.  Raises ValueError
-    on anything else.
+    Bounds are ``rounding``'s number text; anything else raises ValueError.
     """
     s = text.strip()
     if s.lower() == "empty":

@@ -24,14 +24,16 @@ backs ``round_down``/``round_up``.  Every helper therefore returns either
 the tightest representable bound or its immediate outward neighbour.
 
 Infinities are legal bound values here (an infinite bound encodes an
-absent constraint); NaN never is.
+absent constraint); NaN never is.  Number text has one grammar,
+``_NUMBER``: a signed decimal, ``p/q`` (``q`` nonzero) or ``inf``, in ASCII.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import sys
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from math import inf, nextafter
 
@@ -59,7 +61,7 @@ MAX_FLOAT = sys.float_info.max
 _NINF = -inf
 
 # CPython's default limit on int string conversion: a "p/q" bound with a longer
-# numerator or denominator fails in Fraction(str), and a decimal one is held to it too
+# numerator or denominator fails in int(), and a decimal one is held to it too
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
 # a decimal c * 10**-k (c without trailing zeros) within those limits has
@@ -67,6 +69,9 @@ _DIGIT_LIMIT = 10**_MAX_DIGITS
 # at most 5**k: under 14,286 digits.  A longer coefficient is refused before
 # Fraction(x) is built, which takes time quadratic in the length
 _MAX_COEFFICIENT = 14_300
+# expr's NUMBER too; no run of digits splits two ways, so a long miss fails in linear time
+_DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_NUMBER = re.compile(rf"\s*[-+]?(?:{_DECIMAL}|(?i:inf(?:inity)?)|[0-9]+/0*[1-9][0-9]*)\s*", re.ASCII)
 # an error message cuts a literal of over 3 * _SHOWN characters to its first and last _SHOWN
 _SHOWN = 12
 
@@ -103,21 +108,19 @@ def _exact_value(x) -> "Fraction | float":
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        if not x.isascii():
-            # Decimal and Fraction would read other scripts' digits, which no parser takes
+        if not x.isascii():  # a plainer refusal than the grammar's
             raise ValueError(f"{_abridged(x)} is not ASCII text")
         try:
-            # Decimal first: parses scientific notation and infinities exactly
-            x = Decimal(x)
-        except InvalidOperation:
-            try:
-                return Fraction(x)  # "3/10" style
-            except ValueError:
-                # Fraction's own message echoes the text in full; a "p/q" may also
-                # fail on int's digit limit
-                raise ValueError(
-                    f"{_abridged(x)} is not a decimal or a p/q of at most {_MAX_DIGITS} digits each"
-                ) from None
+            if not _NUMBER.fullmatch(x):
+                raise ValueError
+            if "/" in x:  # int takes the sign and whitespace, and refuses over 4300 digits
+                p, q = x.split("/")
+                return Fraction(int(p), int(q))
+            x = Decimal(x)  # an exponent beyond Decimal's range is an ArithmeticError
+        except (ValueError, ArithmeticError):
+            raise ValueError(
+                f"{_abridged(x)} is not a decimal or a p/q of at most {_MAX_DIGITS} digits each"
+            ) from None
     if isinstance(x, Decimal):
         if x.is_nan():
             raise ValueError("NaN is not a real value")

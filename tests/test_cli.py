@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relival import cli
@@ -152,6 +152,34 @@ class TestRefine:
         code, out, err = run(capsys, "refine", "x + 1e999", "--var", "x=[0,1]", "--at", "0.5")
         assert (code, out) == (5, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("at", ["nan", "-nan", "1_0", "1/0", "0/0", "inf inf"])
+    def test_bad_target_text_exit_two(self, capsys, at):
+        # NaN is no point of any box; "_" grouping and zero denominators are no number text
+        code, out, err = run(capsys, "refine", "x", "--var", "x=[0,20]", "--at", at, "--steps", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad --at value")
+
+    def test_target_reads_like_a_bound(self):
+        # p/q, signs and ASCII whitespace, as in bounds, rounded to nearest
+        assert cli._parse_point("3/10", ("x",), {}, ["x"]) == (0.3,)
+        assert cli._parse_point(" -3/10 ,\t1e-400", ("x", "y"), {}, ["x", "y"]) == (-0.3, 0.0)
+        argv = ("refine", "x", "--var", "x=[0,1]", "--steps", "60", "--at")
+        assert run_any(argv + ("3/10",)) == run_any(argv + ("0.3",))
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("refine", "x", "--var", "x=[0,1]", "--at", "1e400"),
+             "--at value for x is beyond the float range"),
+            (("refine", "x + 1e400", "--var", "x=[0,1]", "--at", "0.5"),
+             "constant 1e400 is beyond the float range"),
+            (("refine", "x", "--var", "x=[0,inf]", "--at", "inf"),
+             "refinement needs a bounded box"),
+        ],
+    )
+    def test_target_past_the_float_range_exit_five(self, capsys, argv, message):
+        assert run(capsys, *argv) == (5, "", f"error: {message}\n")
 
     def test_at_count_mismatch_exit_two(self, capsys):
         code, _, err = run(capsys, "refine", "x + y", "--var", "x=[0,1]",
@@ -311,6 +339,24 @@ class TestArgumentErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("eval", "1e99999999999999999999999"),
+            ("eval", "x", "--var", "x=[0,1e99999999999999999999999]"),
+            ("eval", "x", "--var", "x=[-0e-99999999999999999999999,0]"),
+            ("refine", "x", "--var", "x=[0,1]", "--at", "1e-99999999999999999999999"),
+        ],
+    )
+    def test_exponent_past_decimal_range_exit_two(self, capsys, argv):
+        # Decimal refuses these exponents; the old reader went on to Fraction, which
+        # hung building 10**exponent
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "4300 digits" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("eval", "1e999"),
             ("eval", "1e400"),
             ("eval", "x", "--var", "x=[1e999,1e999]"),
@@ -336,6 +382,14 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert message in err
+
+    @pytest.mark.parametrize("command", ["eval", "check"])
+    @pytest.mark.parametrize("binding", ["x=[1/0,2]", "x=[0/0,1]", "x=[0,2/00]", "x=[1_0,2_0]"])
+    def test_bound_text_outside_the_grammar_exit_two(self, capsys, command, binding):
+        # a zero denominator once ended in ZeroDivisionError, exit 1 through a traceback
+        code, out, err = run(capsys, command, "x", "--var", binding)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad interval bound")
 
     def test_bad_var_syntax_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x[0,1]")
@@ -510,7 +564,7 @@ class TestRepeatedCalls:
 _NAMES = ("x", "y", "z")
 _numbers = st.sampled_from(
     ["0", "-0", "1", "-1", "0.5", "1e308", "-1e308", "1e999", "5e-324", "1e-400",
-     "nan", "inf", "-inf"]
+     "nan", "inf", "-inf", "1/0", "0/0", "-3/10", "1_0"]
 ) | st.floats().map(repr)
 _leaves = st.sampled_from(_NAMES + ("0", "2", "0.5", "1e308", "1e999", "3e-320"))
 _shallow = st.recursive(
@@ -535,7 +589,7 @@ _junk = st.text(alphabet="xyz0123456789.e+-*/() absqrt,[]", max_size=16)
 _intervals = (
     st.builds("[{},{}]".format, _numbers, _numbers)
     | st.sampled_from(["empty", "[1,", "[]", "[1,2,3]", "1,2", "[a,b]", ""])
-    | st.text(alphabet="[],.-0123456789einfa", max_size=12)
+    | st.text(alphabet="[],.-0123456789einfa/_", max_size=12)
 )
 _fitting = st.sampled_from(
     ["[0,1]", "[-1,2]", "[0.5,0.5]", "[1,4]", "[-0,0]", "[1e-300,1e300]", "[-1e308,1e308]",
@@ -594,6 +648,9 @@ def _argvs(draw):
 
 
 class TestArgvFuzz:
+    # _argvs can draw these, but seldom as the only flaw of an argv; once a traceback
+    @example(["check", "x", "--var", "x=[1/0,2]"])
+    @example(["eval", "x * y", "--var=x=[0,1]", "--var", "y=[0/0,1]", "--json"])
     @given(_argvs())
     def test_exit_code_and_error_line(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -798,4 +855,5 @@ class TestParserTable:
     def test_parsed_arguments_match_the_parent_parser(self, argv):
         table = run_any(argv, _table_args)
         reference = run_any(argv, lambda a: _reference_args(a)[1])
-        assert table == reference
+        # compared as text: "--tol nan" parses to two NaNs, which never compare equal
+        assert repr(table) == repr(reference)

@@ -126,6 +126,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Interval(0.0, "spam")
 
+    @pytest.mark.parametrize("lo, hi", [("1/0", 2), (0, "1/0"), ("0/0", 1), ("-1/000", 0)])
+    def test_zero_denominator_rejected(self, lo, hi):
+        # Fraction("1/0") raised ZeroDivisionError, which parse_interval did not catch
+        with pytest.raises(ValueError, match="is not a decimal or a p/q"):
+            Interval(lo, hi)
+        with pytest.raises(ValueError, match="bad interval bound"):
+            parse_interval(f"[{lo},{hi}]")
+
     @pytest.mark.parametrize(
         "lo, hi", [("\u0663", "4"), ("0", "\uff14"), ("\u0661.5", 2), ("1/\u0663", 1)]
     )

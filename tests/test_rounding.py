@@ -2,16 +2,20 @@
 
 import decimal
 import math
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from relival import expr
 from relival.rounding import (
     MAX_FLOAT,
+    _DECIMAL,
+    _exact_value,
     add_down,
     add_up,
     div_down,
@@ -411,3 +415,106 @@ class TestFastPathAgainstFractions:
             mul_down(a, b), mul_up(a, b), div_down(a, b), div_up(a, b)
             sqrt_down(abs(a)), sqrt_up(abs(a))
 
+
+# -- the number grammar against the reader it replaced --------------------------
+
+
+def _reference_text_value(text):
+    """The string branch of ``_exact_value`` before number text had one grammar:
+    Decimal first, Fraction if Decimal refused; a Decimal goes on to the Decimal branch."""
+    if not text.isascii():
+        raise ValueError(f"{text!r} is not ASCII text")
+    try:
+        value = Decimal(text)
+    except decimal.InvalidOperation:
+        try:
+            return Fraction(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a decimal or a p/q") from None
+    return _exact_value(value)
+
+
+def _outcome(read, text):
+    """The value ``read`` gives ``text``, or the type of the exception it raises."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc)
+
+
+# Texts the old reader took, or refused with another exception, that the grammar
+# refuses with ValueError, each on purpose:
+_NEWLY_REFUSED = {
+    # Decimal reads "_" anywhere ("1__0", "_1", "1._5"); Fraction only between digits,
+    # and in a p/q only from Python 3.11 on.  No expression literal ever took it.
+    "'_' digit grouping": lambda text, old: "_" in text,
+    # Fraction raised ZeroDivisionError, which parse_interval let out as a traceback
+    "zero denominator": lambda text, old: old is ZeroDivisionError,
+    # Decimal and Fraction strip every character that str.isspace() takes, the
+    # information separator \x1c among them; the grammar strips ASCII whitespace only,
+    # what \s matches under re.ASCII and what the expression tokenizer skips in ASCII text
+    "'\\x1c' read as whitespace": lambda text, old: "\x1c" in text,
+    # Fraction takes whitespace around "/" from Python 3.12 on; the grammar takes p/q
+    # as one word, as IEEE 1788's rational literal is
+    "whitespace around '/'": lambda text, old: re.search(r"\s/|/\s", text) is not None,
+}
+
+_PIECES = list("0123456789.eE+-/_") + ["inf", "nan", " ", "\t", "\x1c", "\u0663"]
+
+
+class TestNumberGrammar:
+    @settings(max_examples=1500)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=10).map("".join))
+    @example("1_0")
+    @example("1__0")
+    @example("1_0/3")
+    @example("1/0")
+    @example("-0/00")
+    @example("\x1c1\x1c")
+    @example("1 / 3")
+    @example(" -3/10\t")
+    @example("+Infinity")
+    @example("1.e5")
+    @example("nan")
+    @example("\u0663")
+    def test_same_as_the_old_reader(self, text):
+        old, new = _outcome(_reference_text_value, text), _outcome(_exact_value, text)
+        if new == old:
+            return
+        assert new is ValueError, (text, old, new)
+        assert any(applies(text, old) for applies in _NEWLY_REFUSED.values()), (text, old)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("-3/10", Fraction(-3, 10)), (" +3/10\t", Fraction(3, 10)), ("1/03", Fraction(1, 3)),
+            ("1.e5", Fraction(10**5)), (".5", Fraction(1, 2)), ("-0", Fraction(0)),
+            ("\x0b2\x0c", Fraction(2)), ("INFINITY", math.inf), (" -Inf ", -math.inf),
+        ],
+    )
+    def test_grammar_reads(self, text, value):
+        assert _exact_value(text) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1_0", "1/0", "0/0", "-1/00", "1 / 3", "3/-1", "nan", "\x1c1", "1e", ".", "infinit"]
+    )
+    def test_grammar_refuses(self, text):
+        with pytest.raises(ValueError, match="is not a decimal or a p/q of at most 4300 digits each"):
+            _exact_value(text)
+
+    @pytest.mark.parametrize("text", ["1" * 20_000 + "z", "1" * 20_000 + "/", "-" + "9" * 20_000 + "e"])
+    def test_long_non_match_fails_in_linear_time(self, text):
+        # "[0-9]+\.?[0-9]*" splits a run of digits two ways: 16,000 digits took 10 s to fail
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            _exact_value(text)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", ["1e99999999999999999999999", "-0.5e-99999999999999999999999"])
+    def test_exponent_beyond_decimal_range_refused(self, text):
+        # Decimal refuses such an exponent; the old reader then built 10**exponent in Fraction
+        with pytest.raises(ValueError, match="4300 digits"):
+            _exact_value(text)
+
+    def test_expression_numbers_are_the_grammar_decimal(self):
+        assert f"(?P<num>{_DECIMAL})" in expr._TOKEN.pattern
