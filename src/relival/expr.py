@@ -303,24 +303,35 @@ def to_source(e: Expr) -> str:
 
     Word unaries always parenthesize their argument; infix children get
     parentheses exactly where precedence or left-associativity demands.
+    The text is written in reading order by one explicit-stack walk, as
+    ``repr`` writes it, so printing takes time linear in the tree's size
+    at any depth.
     """
-
-    def unary(node, inner):
-        if node.op != "neg":
-            return f"{node.op}({inner})"
-        if isinstance(node.child, Binary):
-            return f"-({inner})"
-        return f"-{inner}"
-
-    def binary(node, left, right):
-        prec = _PREC[node.op]
-        if isinstance(node.left, Binary) and _PREC[node.left.op] < prec:
-            left = f"({left})"
-        if isinstance(node.right, Binary) and _PREC[node.right.op] <= prec:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-
-    return _fold(e, lambda v: v.name, unary, binary)
+    # each node pushes its pieces in reverse, so they come off the stack in reading order
+    pieces, stack = [], [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        elif isinstance(item, Binary):
+            prec = _PREC[item.op]
+            left, right = item.left, item.right
+            if isinstance(right, Binary) and _PREC[right.op] <= prec:
+                stack += (")", right, f" {item.op} (")
+            else:
+                stack += (right, f" {item.op} ")
+            if isinstance(left, Binary) and _PREC[left.op] < prec:
+                stack += (")", left, "(")
+            else:
+                stack.append(left)
+        elif isinstance(item, Unary):
+            if item.op == "neg" and not isinstance(item.child, Binary):
+                stack += (item.child, "-")
+            else:
+                stack += (")", item.child, "-(" if item.op == "neg" else f"{item.op}(")
+        else:
+            pieces.append(item.name)
+    return "".join(pieces)
 
 
 def _leaf_names(order: "list[Expr]") -> "list[str]":

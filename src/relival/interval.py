@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import copysign
 
 # sub_down goes unused here: the benchmark tracer patches each rounding helper
 # in this module's namespace, so each must stay bound
@@ -99,16 +98,16 @@ class Interval:
         lo, hi = self.lo, self.hi
         # other bound descriptors name exact reals: round them outward
         if type(lo) is not float:
-            lo = float(round_down(lo))
+            lo = round_down(lo)
             object.__setattr__(self, "lo", lo)
         if type(hi) is not float:
-            hi = float(round_up(hi))
+            hi = round_up(hi)
             object.__setattr__(self, "hi", hi)
         if lo <= hi and lo != _INF and hi != _NINF:
-            # normalize -0.0 so equal sets compare and print identically
-            if lo == 0.0 and copysign(1.0, lo) < 0.0:
+            # store -0.0 as 0.0 so equal sets compare and print identically
+            if lo == 0.0:
                 object.__setattr__(self, "lo", 0.0)
-            if hi == 0.0 and copysign(1.0, hi) < 0.0:
+            if hi == 0.0:
                 object.__setattr__(self, "hi", 0.0)
             return
         if lo != lo or hi != hi:
@@ -189,9 +188,7 @@ def width(x: Interval) -> float:
     """Upper bound on ``hi - lo``; 0 for empty, inf when unbounded."""
     if x.is_empty:
         return 0.0
-    if x.lo == -math.inf or x.hi == math.inf:
-        return math.inf
-    return sub_up(x.hi, x.lo)
+    return sub_up(x.hi, x.lo)  # add_up passes an infinite operand through: a ray's width is inf
 
 
 def midpoint(x: Interval) -> float:
@@ -381,23 +378,15 @@ _KERNELS = {add: _add, sub: _sub, mul: _mul, div: _div, div_canonical: _div_cano
             sqrt_rel: _sqrt_rel, sqrt_canonical: _sqrt_canonical, neg: _neg, absolute: _absolute}
 
 
-def _format_bound(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return f"{v:.17g}"
-
-
 def format_interval(x: Interval) -> str:
     """Render in the textual syntax: ``empty`` or ``[lo,hi]``.
 
-    Finite bounds print with 17 significant digits, enough to reparse to
-    the identical float.
+    Bounds print as ``.17g``: 17 significant digits, enough to reparse to
+    the identical float, and ``inf``/``-inf`` for the infinities.
     """
     if x.is_empty:
         return "empty"
-    return f"[{_format_bound(x.lo)},{_format_bound(x.hi)}]"
+    return f"[{x.lo:.17g},{x.hi:.17g}]"
 
 
 def parse_interval(text: str) -> Interval:

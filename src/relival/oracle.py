@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
+from . import _ORACLE_NAMES
+
 # member and eval_interval go unused here: the benchmark tracer patches each of
 # them, and variable_sequence, in this module's namespace, so each must stay bound
 from .expr import (
@@ -38,17 +40,7 @@ from .expr import (
 from .interval import Box, Interval, member, parse_box
 from .semantics import _box_dims, eval_interval, sample_inclusion
 
-__all__ = [
-    "RationalInterval",
-    "relational_oracle",
-    "corner_range_oracle",
-    "sample_inclusion",
-    "random_case",
-    "random_single_occurrence_case",
-    "ManifestCase",
-    "write_manifest",
-    "read_manifest",
-]
+__all__ = list(_ORACLE_NAMES)
 
 
 @dataclass(frozen=True)

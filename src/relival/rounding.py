@@ -18,10 +18,13 @@ error-free transformations recover in float arithmetic:
 Two-product is exact only away from overflow and underflow, so products,
 quotients and roots take it when every operand and rounded result has
 magnitude in ``[2**-969, 2**995]``.  Outside that range (zeros,
-subnormals, infinities, values near overflow) the residual's sign comes
-from exact rational arithmetic with ``fractions.Fraction``, which also
-backs ``round_down``/``round_up``.  Every helper therefore returns either
-the tightest representable bound or its immediate outward neighbour.
+subnormals, infinities, values near overflow) the exact product or
+quotient is formed with ``fractions.Fraction`` and read through
+``_nearest``, as ``round_down``/``round_up`` read theirs: one rule gives
+the float to nearest, the sign of its residual, and ``±inf`` past the
+float range.  A root's residual is ``a - r*r`` in the same rationals.
+Every helper therefore returns either the tightest representable bound
+or its immediate outward neighbour.
 
 Infinities are legal bound values here (an infinite bound encodes an
 absent constraint); NaN never is.  Number text has one grammar,
@@ -241,11 +244,6 @@ def _two_product_err(a: float, b: float, p: float) -> float:
     return al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-def _compare(x, y) -> int:
-    """Sign of ``x - y`` in exact arithmetic (Fractions, floats, infinities)."""
-    return (x > y) - (x < y)
-
-
 def _product(a: float, b: float) -> "tuple[float, float]":
     """``p = a * b`` to nearest, and a number with the sign of the exact
     product minus ``p``.  A zero factor annihilates even an infinite one
@@ -259,7 +257,7 @@ def _product(a: float, b: float) -> "tuple[float, float]":
         raise ValueError("product of NaN operands")
     if math.isinf(a) or math.isinf(b):
         return p, 0
-    return p, _compare(Fraction(a) * Fraction(b), p)
+    return _nearest(Fraction(a) * Fraction(b))
 
 
 def _quotient(a: float, b: float) -> "tuple[float, float]":
@@ -283,10 +281,9 @@ def _quotient(a: float, b: float) -> "tuple[float, float]":
         return (math.inf if (a > 0) == (b > 0) else -math.inf), 0
     if a == 0.0:
         return 0.0, 0
-    q = a / b
-    if math.isnan(q):
+    if math.isnan(a) or math.isnan(b):
         raise ValueError("quotient of NaN operands")
-    return q, _compare(Fraction(a) / Fraction(b), q)
+    return _nearest(Fraction(a) / Fraction(b))
 
 
 def _root(a: float) -> "tuple[float, float]":
@@ -301,7 +298,7 @@ def _root(a: float) -> "tuple[float, float]":
     r = math.sqrt(a)
     if a == math.inf:
         return r, 0
-    return r, _compare(Fraction(a), Fraction(r) ** 2)
+    return r, Fraction(a) - Fraction(r) ** 2
 
 
 def mul_down(a: float, b: float) -> float:

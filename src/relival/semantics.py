@@ -135,22 +135,18 @@ class RealResult:
 UNDEFINED = RealResult()
 
 
-def _finite_or_none(v: float) -> "float | None":
-    # overflow past the float range is not a representable real result
-    return v if _NINF < v < inf else None
-
-
 def _real_sqrt(a: float) -> "float | None":
     if a < 0:
         return None
     return math.sqrt(a)
 
 
+# overflow past the float range is not a representable real result
 _REAL_OPS: "Mapping[str, Callable]" = {
-    "+": lambda a, b: _finite_or_none(a + b),
-    "-": lambda a, b: _finite_or_none(a - b),
-    "*": lambda a, b: _finite_or_none(a * b),
-    "/": lambda a, b: _finite_or_none(a / b) if b != 0.0 else None,
+    "+": lambda a, b: v if _NINF < (v := a + b) < inf else None,
+    "-": lambda a, b: v if _NINF < (v := a - b) < inf else None,
+    "*": lambda a, b: v if _NINF < (v := a * b) < inf else None,
+    "/": lambda a, b: v if b != 0.0 and _NINF < (v := a / b) < inf else None,
     "neg": lambda a: -a,
     "abs": abs,
     # both root symbols name the same point function: the nonnegative root.

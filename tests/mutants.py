@@ -1,0 +1,501 @@
+"""Standing mutation gate: each listed mutant must be killed by its tests.
+
+A mutant is one exact text replacement in a file of the package, named
+together with the tests that must fail once it is made.  The gate copies
+``src/`` to a temporary directory for each mutant, never touching the
+checkout, makes the replacement there and runs the named tests against
+the copy (``pytest -x``, with the copy first on ``PYTHONPATH``) under a
+time limit.  Before any mutant it runs every named test against an
+unchanged copy: they must all pass, so a failure under a mutant is the
+mutant's doing.  It prints one line per mutant and exits 1 when a mutant
+survives, when a replacement does not match its file exactly once, or
+when a named test cannot be collected.  A mutant marked equivalent
+changes no behaviour, so it is only matched, not run; its reason says
+why.  Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # only these
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # per pytest run; a hang under a mutant counts as a kill
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/relival
+    old: str  # must occur exactly once
+    new: str
+    tests: tuple = ()  # pytest node IDs, relative to the repository root
+    equivalent: str = ""  # why the replacement changes no behaviour
+
+
+MUTANTS = [
+    # rules that decide an edge case for every caller
+    Mutant(
+        "add_up clamps an infinite operand",
+        "rounding.py",
+        "        return s\n    return s if s > 0 else -MAX_FLOAT",
+        "        return math.copysign(MAX_FLOAT, s)\n    return s if s > 0 else -MAX_FLOAT",
+        tests=(
+            "tests/test_rounding.py::TestAddSub::test_infinite_operands_pass_through",
+            "tests/test_interval.py::TestWidthMidpoint::test_width_cases",
+        ),
+    ),
+    Mutant(
+        "format_interval prints 16 digits",
+        "interval.py",
+        'f"[{x.lo:.17g},{x.hi:.17g}]"',
+        'f"[{x.lo:.16g},{x.hi:.16g}]"',
+        tests=(
+            "tests/test_interval.py::TestTextSyntax::test_seventeen_digits",
+        ),
+    ),
+    Mutant(
+        "_nearest calls an overflow exact",
+        "rounding.py",
+        "return (math.inf, -math.inf) if q > 0 else (-math.inf, math.inf)",
+        "return (math.inf, 0) if q > 0 else (-math.inf, 0)",
+        tests=(
+            "tests/test_rounding.py::TestMul::test_overflow_from_finite_operands",
+            "tests/test_rounding.py::TestDiv::test_overflow_quotient",
+            "tests/test_rounding.py::TestRoundValue::test_overflow_saturates_inward_on_the_down_side",
+        ),
+    ),
+    Mutant(
+        "root residual of the wrong sign",
+        "rounding.py",
+        "return r, Fraction(a) - Fraction(r) ** 2",
+        "return r, Fraction(r) ** 2 - Fraction(a)",
+        tests=(
+            "tests/test_rounding.py::TestSqrt::test_sqrt_brackets_exact_root",
+            "tests/test_rounding.py::TestFastPathAgainstFractions::test_sqrt_on_edges",
+        ),
+    ),
+    Mutant(
+        "real + lets +inf through",
+        "semantics.py",
+        '"+": lambda a, b: v if _NINF < (v := a + b) < inf else None,',
+        '"+": lambda a, b: v if _NINF < (v := a + b) <= inf else None,',
+        tests=(
+            "tests/test_semantics.py::TestColumnRunner::test_edge_values",
+        ),
+    ),
+    Mutant(
+        "real - lets -inf through",
+        "semantics.py",
+        '"-": lambda a, b: v if _NINF < (v := a - b) < inf else None,',
+        '"-": lambda a, b: v if _NINF <= (v := a - b) < inf else None,',
+        tests=(
+            "tests/test_semantics.py::TestColumnRunner::test_edge_values",
+        ),
+    ),
+    Mutant(
+        "real * lets an overflow through",
+        "semantics.py",
+        '"*": lambda a, b: v if _NINF < (v := a * b) < inf else None,',
+        '"*": lambda a, b: a * b,',
+        tests=(
+            "tests/test_semantics.py::TestEvalReal::test_overflow_is_undefined",
+        ),
+    ),
+    Mutant(
+        "real / lets an overflow through",
+        "semantics.py",
+        '"/": lambda a, b: v if b != 0.0 and _NINF < (v := a / b) < inf else None,',
+        '"/": lambda a, b: a / b if b != 0.0 else None,',
+        tests=(
+            "tests/test_semantics.py::TestColumnRunner::test_edge_values",
+        ),
+    ),
+    Mutant(
+        "product of a NaN reaches Fraction",
+        "rounding.py",
+        '    if math.isnan(p):\n        raise ValueError("product of NaN operands")\n',
+        "",
+        tests=(
+            "tests/test_rounding.py::TestMul::test_nan_operands_rejected",
+        ),
+    ),
+    Mutant(
+        "quotient of a NaN reaches Fraction",
+        "rounding.py",
+        '    if math.isnan(a) or math.isnan(b):\n        raise ValueError("quotient of NaN operands")\n',
+        "",
+        tests=(
+            "tests/test_rounding.py::TestDiv::test_nan_operands_rejected",
+        ),
+    ),
+    Mutant(
+        "root of inf reaches Fraction",
+        "rounding.py",
+        "    if a == math.inf:\n        return r, 0\n",
+        "",
+        tests=(
+            "tests/test_rounding.py::TestSqrt::test_infinity_passes_through",
+        ),
+    ),
+    Mutant(
+        "Interval keeps a -0.0 upper bound",
+        "interval.py",
+        'if hi == 0.0:\n                object.__setattr__(self, "hi", 0.0)',
+        'if hi == 0.0:\n                object.__setattr__(self, "hi", hi)',
+        tests=(
+            "tests/test_interval.py::TestConstructorDifferential::test_float_bounds",
+        ),
+    ),
+    Mutant(
+        "to_source parenthesizes a left operand of equal precedence",
+        "expr.py",
+        "if isinstance(left, Binary) and _PREC[left.op] < prec:",
+        "if isinstance(left, Binary) and _PREC[left.op] <= prec:",
+        tests=(
+            "tests/test_expr.py::TestPrinter::test_deep_trees_in_linear_time",
+            "tests/test_deep.py::test_parses_prints_and_queries",
+        ),
+    ),
+    Mutant(
+        "Interval keeps a -0.0 lower bound",
+        "interval.py",
+        'if lo == 0.0:\n                object.__setattr__(self, "lo", 0.0)',
+        'if lo == 0.0:\n                object.__setattr__(self, "lo", lo)',
+        tests=(
+            "tests/test_interval.py::TestConstruction::test_negative_zero_normalized",
+        ),
+    ),
+    Mutant(
+        "to_source drops right-operand parentheses at equal precedence",
+        "expr.py",
+        "if isinstance(right, Binary) and _PREC[right.op] <= prec:",
+        "if isinstance(right, Binary) and _PREC[right.op] < prec:",
+        tests=(
+            "tests/test_expr.py::TestPrinter::test_parens_kept_where_needed",
+            "tests/test_expr.py::TestRoundTrip::test_fixed_examples",
+        ),
+    ),
+    # tokenizer, parser and tape
+    Mutant(
+        "token pattern without the end-of-input alternative",
+        "expr.py",
+        '    r"|(?P<bad>\\S)"\n    r"|\\Z)"',
+        '    r"|(?P<bad>\\S))"',
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_long_whitespace_in_linear_time",
+        ),
+    ),
+    Mutant(
+        "token position includes the whitespace before it",
+        "expr.py",
+        "tokens.append((kind, m.group(kind), m.start(kind)))",
+        "tokens.append((kind, m.group(kind), m.start()))",
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_literal_past_the_digit_limit",
+            "tests/test_expr.py::TestAgainstReference::test_tokens_match",
+        ),
+    ),
+    Mutant(
+        "error position includes the whitespace before it",
+        "expr.py",
+        'raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))',
+        'raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())',
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_unknown_character_with_position",
+        ),
+    ),
+    Mutant(
+        "one leaf per occurrence",
+        "expr.py",
+        "                leaf = leaves.get(text)\n"
+        "                if leaf is None:\n"
+        "                    leaf = leaves[text] = Var(text)",
+        "                leaf = Var(text)\n"
+        "                leaves.setdefault(text, leaf)",
+        tests=(
+            "tests/test_expr.py::TestSharedLeaves::test_one_leaf_per_name",
+        ),
+    ),
+    Mutant(
+        "parse caches a sorted variable sequence",
+        "expr.py",
+        'root.__dict__["_varseq"] = tuple(leaves)',
+        'root.__dict__["_varseq"] = tuple(sorted(leaves))',
+        tests=(
+            "tests/test_expr.py::TestQueries::test_variable_sequence_first_occurrence",
+        ),
+    ),
+    Mutant(
+        "the tape numbers variables in sorted order",
+        "semantics.py",
+        "names = _variable_sequence(e, order)",
+        "names = tuple(sorted(_variable_sequence(e, order)))",
+        tests=(
+            "tests/test_semantics.py::TestTape::test_matches_closure_routing",
+            "tests/test_semantics.py::TestTape::test_one_walk_matches_two",
+        ),
+    ),
+    Mutant(
+        "fresh names dodge only identifiers before the first literal",
+        "expr.py",
+        'used = {t for k, t, _ in tokens if k == "ident"}',
+        'used = {t for k, t, _ in tokens[:i] if k == "ident"}',
+        tests=(
+            "tests/test_expr.py::TestConstants::test_fresh_names_dodge_collisions",
+        ),
+    ),
+    # rounding and interval kernels
+    Mutant(
+        "add_down returns an overflowed sum",
+        "rounding.py",
+        "return MAX_FLOAT if s > 0 else s  # finite operands overflowed",
+        "return s",
+        tests=(
+            "tests/test_rounding.py::TestAddSub::test_overflow_from_finite_operands",
+        ),
+    ),
+    Mutant(
+        "add_up returns an overflowed sum",
+        "rounding.py",
+        "    return s if s > 0 else -MAX_FLOAT",
+        "    return s",
+        tests=(
+            "tests/test_rounding.py::TestAddSub::test_overflow_from_finite_operands",
+        ),
+    ),
+    Mutant(
+        "add_up keeps an exact sum when the error is zero or more",
+        "rounding.py",
+        "return nextafter(s, inf) if err > 0 else s",
+        "return nextafter(s, inf) if err >= 0 else s",
+        tests=(
+            "tests/test_rounding.py::TestAddSub::test_exact_sums_stay_exact",
+        ),
+    ),
+    Mutant(
+        "_sub swaps its operands",
+        "interval.py",
+        "return add_down(a, -d), add_up(b, -c)",
+        "return add_down(c, -b), add_up(d, -a)",
+        tests=(
+            "tests/test_interval.py::TestAddSub::test_sub_cases",
+        ),
+    ),
+    Mutant(
+        "sample_inclusion accepts zero samples",
+        "semantics.py",
+        "    if samples < 1:\n        raise ValueError",
+        "    if samples < 0:\n        raise ValueError",
+        tests=(
+            "tests/test_oracle.py::TestSampleInclusion::test_no_samples_rejected",
+        ),
+    ),
+    # command line
+    Mutant(
+        "a named command builds every subparser",
+        "cli.py",
+        'names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"',
+        'names, metavar = _COMMANDS, "{" + ",".join(_COMMANDS) + "}"',
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_a_named_command_builds_only_its_parser",
+        ),
+    ),
+    Mutant(
+        "check loses --seed",
+        "cli.py",
+        '        ("--seed", dict(type=int, default=0, help="sampling seed (default 0)")),\n',
+        "",
+        tests=(
+            "tests/test_cli.py::TestLeadingDashValues::test_seed_takes_a_separate_value",
+            "tests/test_cli.py::TestParserTable::test_takes_value_read_off_the_full_parser",
+        ),
+    ),
+    Mutant(
+        "--json is glued to the next token",
+        "cli.py",
+        'if name.startswith("-") and keywords.get("action") != "store_true"',
+        'if name.startswith("-")',
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_takes_value_read_off_the_full_parser",
+        ),
+    ),
+    Mutant(
+        "a named command's parser has no metavar",
+        "cli.py",
+        'names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"',
+        "names, metavar = (command,), None",
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
+        ),
+    ),
+    Mutant(
+        "--json writes widths as given",
+        "cli.py",
+        '["inf" if w == inf else w for w in widths]',
+        "list(widths)",
+        tests=(
+            "tests/test_cli.py::TestRefine::test_json_infinite_width_is_a_string",
+        ),
+    ),
+    # number text
+    Mutant(
+        "decimal digits of any script",
+        "rounding.py",
+        '_DECIMAL = r"(?:[0-9]+(?:\\.[0-9]*)?|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?"',
+        '_DECIMAL = r"(?:\\d+(?:\\.\\d*)?|\\.\\d+)(?:[eE][+-]?\\d+)?"',
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_digits_of_other_scripts_rejected",
+        ),
+    ),
+    Mutant(
+        "no ASCII check on number text",
+        "rounding.py",
+        "        if not x.isascii():  # a plainer refusal than the grammar's\n"
+        '            raise ValueError(f"{_abridged(x)} is not ASCII text")\n',
+        "",
+        tests=(
+            "tests/test_interval.py::TestConstruction::test_non_ascii_descriptors_rejected",
+        ),
+    ),
+    Mutant(
+        "an ArithmeticError escapes the number reader",
+        "rounding.py",
+        "except (ValueError, ArithmeticError):",
+        "except ValueError:",
+        tests=(
+            "tests/test_rounding.py::TestNumberGrammar::test_exponent_beyond_decimal_range_refused",
+        ),
+    ),
+    Mutant(
+        "a decimal whose digit runs split two ways",
+        "rounding.py",
+        '_DECIMAL = r"(?:[0-9]+(?:\\.[0-9]*)?|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?"',
+        '_DECIMAL = r"(?:[0-9]+\\.?[0-9]*|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?"',
+        tests=(
+            "tests/test_rounding.py::TestNumberGrammar::test_long_non_match_fails_in_linear_time",
+        ),
+    ),
+    Mutant(
+        "--at read by float()",
+        "cli.py",
+        '(f"--at value for {n}", _exact_value(t))',
+        '(f"--at value for {n}", float(t))',
+        tests=(
+            "tests/test_cli.py::TestRefine::test_target_reads_like_a_bound",
+            "tests/test_cli.py::TestRefine::test_bad_target_text_exit_two",
+        ),
+    ),
+    Mutant(
+        "no whitespace after a number",
+        "rounding.py",
+        '[0-9]+/0*[1-9][0-9]*)\\s*", re.ASCII)',
+        '[0-9]+/0*[1-9][0-9]*)", re.ASCII)',
+        tests=(
+            "tests/test_rounding.py::TestNumberGrammar::test_grammar_reads",
+        ),
+    ),
+    Mutant(
+        "underscores stripped before matching",
+        "rounding.py",
+        "if not _NUMBER.fullmatch(x):",
+        'if not _NUMBER.fullmatch(x.replace("_", "")):',
+        tests=(
+            "tests/test_rounding.py::TestNumberGrammar::test_grammar_refuses",
+        ),
+    ),
+    Mutant(
+        "a p/q with q zero matches the grammar",
+        "rounding.py",
+        "[0-9]+/0*[1-9][0-9]*)",
+        "[0-9]+/[0-9]+)",
+        equivalent="Fraction(p, 0) raises ZeroDivisionError, an ArithmeticError, which the "
+        "reader refuses with the same message as a grammar miss",
+    ),
+]
+
+
+def _copy(tmp: Path, mutant: "Mutant | None") -> tuple[Path, str]:
+    """A fresh copy of ``src/`` under ``tmp``, with ``mutant`` made; and an error, if any."""
+    src = tmp / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is None:
+        return src, ""
+    path = src / "relival" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        return src, f"replacement matches {count} times in {mutant.file}"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src, ""
+
+
+def _env(src: Path) -> dict:
+    """The environment that imports ``relival`` from ``src`` first."""
+    path = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _pytest(src: Path, tests) -> "tuple[str, str]":
+    """Run ``tests`` against the package in ``src``: ('pass' | 'fail' | 'timeout' | 'error', output)."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
+    # pytest: 0 all passed, 1 some failed; anything else (no such test, usage error) is no verdict
+    return {0: "pass", 1: "fail"}.get(done.returncode, "error"), done.stdout + done.stderr
+
+
+def main(names) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}")
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="relival-mutants-") as tmp:
+        src, _ = _copy(Path(tmp), None)
+        probe = [sys.executable, "-c", "import relival; print(relival.__file__)"]
+        where = Path(subprocess.run(probe, cwd=ROOT, env=_env(src), capture_output=True, text=True,
+                                    check=True).stdout.strip())
+        if src not in where.parents:
+            print(f"the copy is not the package imported: relival comes from {where}")
+            return 1
+        verdict, output = _pytest(src, sorted({t for m in mutants if not m.equivalent for t in m.tests}))
+        if verdict != "pass":
+            print(output)
+            print(f"the named tests are missing or do not pass on the unchanged copy: {verdict}")
+            return 1
+        for m in mutants:
+            start = time.perf_counter()
+            src, problem = _copy(Path(tmp), m)
+            if problem:
+                status, note = "ERROR", problem
+            elif m.equivalent:
+                status, note = "equivalent", m.equivalent
+            elif not m.tests:
+                status, note = "ERROR", "no tests named"
+            else:
+                verdict, output = _pytest(src, m.tests)
+                status = {"pass": "SURVIVED", "error": "ERROR"}.get(verdict, "killed")
+                note = f"{verdict}, {time.perf_counter() - start:.1f} s"
+                if verdict == "error":
+                    note += "\n" + output
+            failures += status in ("SURVIVED", "ERROR")
+            print(f"{status:10} {m.name}: {note}", flush=True)
+    print(f"{len(mutants)} mutants, {failures} not killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

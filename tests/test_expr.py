@@ -192,6 +192,23 @@ class TestPrinter:
     def test_constants_print_as_their_fresh_names(self):
         assert to_source(ast("x + 2")) == "x + _c0"
 
+    def test_deep_trees_in_linear_time(self):
+        # each level must not copy the text below it; the sizes grow to 2 * 10**5
+        # levels, so a quadratic printer fails in seconds
+        for n in (10**3, 10**4, 10**5, 2 * 10**5):
+            right = left = Var("x")
+            for _ in range(n):
+                right = Binary("-", Var("x"), right)
+                left = Binary("+", left, Var("x"))
+            start = time.perf_counter()
+            text = to_source(right)
+            assert time.perf_counter() - start < 1.0, (n, "right")
+            assert text == "x - (" * (n - 1) + "x - x" + ")" * (n - 1)
+            start = time.perf_counter()
+            text = to_source(left)
+            assert time.perf_counter() - start < 1.0, (n, "left")
+            assert text == " + ".join(["x"] * (n + 1))
+
 
 _names = st.sampled_from(["x", "y", "z", "w", "a_1"])
 

@@ -250,6 +250,16 @@ class TestMul:
         assert mul_up(1e300, -1e300) == -MAX_FLOAT
         assert mul_down(1e300, -1e300) == -math.inf
 
+    @pytest.mark.parametrize(
+        "a, b", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf), (math.inf, math.nan), (math.nan, 1e-320)]
+    )
+    def test_nan_operands_rejected(self, a, b):
+        # refused by name before the exact fallback, which would fail on NaN with
+        # another message, or pass it through beside an infinite factor
+        for f in (mul_down, mul_up):
+            with pytest.raises(ValueError, match="product of NaN operands"):
+                f(a, b)
+
     def test_subnormal_underflow_directions(self):
         # exact product is positive but below the subnormal range
         assert mul_down(1e-200, 1e-200) == 0.0
@@ -287,6 +297,13 @@ class TestDiv:
     def test_overflow_quotient(self):
         assert div_down(1e300, 1e-300) == MAX_FLOAT
         assert div_up(1e300, 1e-300) == math.inf
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (1e-320, math.nan)])
+    def test_nan_operands_rejected(self, a, b):
+        # refused by name before the exact fallback, which would fail on NaN with another message
+        for f in (div_down, div_up):
+            with pytest.raises(ValueError, match="quotient of NaN operands"):
+                f(a, b)
 
 
 class TestSqrt:
