@@ -12,6 +12,8 @@ Two complementary ways of tightening an interval evaluation:
 Both rest on inclusion monotonicity of the interval operations: a
 smaller argument box always yields a result inside the larger box's
 result, so deepening either process cannot lose the true value.
+Subdivision keeps its pieces as tuples of bare ``(lo, hi)`` pairs, run on
+the box tape; only its report holds an ``Interval``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from dataclasses import dataclass
 # variable_sequence and hull_union go unused here: the benchmark tracer patches
 # each of these names in this module's namespace, so each must stay bound
 from .expr import Expr, variable_sequence
-from .interval import Box, Interval, hull_union, member, midpoint, subset, width
-from .semantics import Interpretation, _check_arity, compile_interval, compile_real
+from .interval import Box, Interval, _midpoint, hull_union, member, midpoint, subset, width
+from .rounding import sub_up
+from .semantics import Interpretation, _check_arity, _compile_pairs, compile_interval, compile_real
 
 __all__ = [
     "RefinementSequence",
@@ -178,15 +181,6 @@ def _split(box: Box, coord: int, m: float) -> "tuple[Box, Box]":
     return Box(head + (Interval(iv.lo, m),) + tail), Box(head + (Interval(m, iv.hi),) + tail)
 
 
-def _widest(box: Box) -> "tuple[int, float]":
-    best_i, best_w = 0, -1.0
-    for i, d in enumerate(box.dims):
-        w = width(d)
-        if w > best_w:
-            best_i, best_w = i, w
-    return best_i, best_w
-
-
 def subdivide_enclosure(
     e: Expr, interp: Interpretation, box: Box, tol: float, max_boxes: int
 ) -> EnclosureReport:
@@ -208,37 +202,43 @@ def subdivide_enclosure(
         raise ValueError("tol must be positive")
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
-    fn = compile_interval(e, interp)
-    frontier = [box]
+    run = _compile_pairs(e, interp)
+    frontier = [tuple((d.lo, d.hi) for d in box.dims)]
     # hulls as running bounds; (inf, -inf) is the empty hull, and an empty leaf stores it too
     settled_lo, settled_hi = math.inf, -math.inf
     all_within_tol = True
     created = 1  # every created box is evaluated exactly once
     widths_trace: list[float] = []
     while frontier:
-        level = [(b, fn(b.dims)) for b in frontier]
+        level = [(b, run(b)) for b in frontier]
         lo, hi = settled_lo, settled_hi
-        for _, iv in level:
-            if iv.lo < lo:
-                lo = iv.lo
-            if iv.hi > hi:
-                hi = iv.hi
-        widths_trace.append(width(Interval(lo, hi)))
+        for _, (rlo, rhi) in level:
+            if rlo < lo:
+                lo = rlo
+            if rhi > hi:
+                hi = rhi
+        # lo == hi is a point, and a kernel may have left it as -0.0
+        widths_trace.append(sub_up(hi, lo) if lo < hi else 0.0)
         frontier = []
-        for b, iv in level:
-            i, w = _widest(b)
+        for b, (rlo, rhi) in level:
+            i, w = 0, -1.0
+            for k, (dlo, dhi) in enumerate(b):
+                dw = sub_up(dhi, dlo)
+                if dw > w:
+                    i, w = k, dw
             if w > tol:
-                d = b.dims[i]
-                m = midpoint(d)
-                if m != d.lo and m != d.hi and created + 2 <= max_boxes:
-                    frontier += _split(b, i, m)
+                dlo, dhi = b[i]
+                m = _midpoint(dlo, dhi)
+                if m != dlo and m != dhi and created + 2 <= max_boxes:
+                    head, tail = b[:i], b[i + 1 :]
+                    frontier += (head + ((dlo, m),) + tail, head + ((m, dhi),) + tail)
                     created += 2
                     continue
                 all_within_tol = False
-            if iv.lo < settled_lo:
-                settled_lo = iv.lo
-            if iv.hi > settled_hi:
-                settled_hi = iv.hi
+            if rlo < settled_lo:
+                settled_lo = rlo
+            if rhi > settled_hi:
+                settled_hi = rhi
     return EnclosureReport(
         enclosure=Interval(settled_lo, settled_hi),
         widths=tuple(widths_trace),

@@ -195,11 +195,17 @@ def midpoint(x: Interval) -> float:
     """Midpoint of a bounded nonempty interval; others have none."""
     if x.is_empty or not x.is_bounded:
         raise ValueError("no midpoint: interval is empty or unbounded")
-    m = x.lo / 2 + x.hi / 2
-    if m < x.lo:
-        m = x.lo
-    elif m > x.hi:
-        m = x.hi
+    return _midpoint(x.lo, x.hi)
+
+
+def _midpoint(lo: float, hi: float) -> float:
+    # halved first, since lo + hi can overflow; a halved subnormal bound rounds,
+    # which can put the sum outside [lo, hi], so it is clamped back in
+    m = lo / 2 + hi / 2
+    if m < lo:
+        return lo
+    if m > hi:
+        return hi
     return m
 
 

@@ -251,10 +251,10 @@ def _product(a: float, b: float) -> "tuple[float, float]":
     p = a * b
     if _TINY <= abs(a) <= _HUGE and _TINY <= abs(b) <= _HUGE and _TINY <= abs(p) <= _HUGE:
         return p, _two_product_err(a, b, p)
+    if a != a or b != b:  # NaN; the range test above is false on it
+        raise ValueError("product of NaN operands")
     if a == 0.0 or b == 0.0:
         return 0.0, 0
-    if math.isnan(p):
-        raise ValueError("product of NaN operands")
     if math.isinf(a) or math.isinf(b):
         return p, 0
     return _nearest(Fraction(a) * Fraction(b))
@@ -273,6 +273,8 @@ def _quotient(a: float, b: float) -> "tuple[float, float]":
             ph = q * b
             r = (a - ph) - _two_product_err(q, b, ph)  # sign of a - q*b
             return q, (r if b > 0 else -r)
+    if a != a or b != b:  # NaN; the range test above is false on it
+        raise ValueError("quotient of NaN operands")
     if b == 0.0 or (math.isinf(a) and math.isinf(b)):
         raise ValueError("quotient is not defined for these bounds")
     if math.isinf(b):
@@ -281,8 +283,6 @@ def _quotient(a: float, b: float) -> "tuple[float, float]":
         return (math.inf if (a > 0) == (b > 0) else -math.inf), 0
     if a == 0.0:
         return 0.0, 0
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError("quotient of NaN operands")
     return _nearest(Fraction(a) / Fraction(b))
 
 

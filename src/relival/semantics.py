@@ -16,8 +16,11 @@ than pretending the two sides are correlated.
 
 A box tape's slots hold bare ``(lo, hi)`` float pairs (empty:
 ``(inf, -inf)``) and its public interval operations run as their
-``interval`` kernels: the leaves are unboxed once and the result is
-boxed once, by the constructor, which normalizes ``-0.0`` and emptiness.
+``interval`` kernels.  One pair compiler binds that tape and serves both
+box evaluation and subdivision: ``compile_interval`` unboxes the leaves
+once and boxes the result once, by the constructor, which normalizes
+``-0.0`` and emptiness; subdivision keeps its leaves as pairs and runs
+the pair tape on them directly, so a result may carry a ``-0.0`` bound.
 
 Point evaluation is strict about partiality: an undefined subterm makes
 the whole result undefined, and a defined result is always a finite
@@ -373,10 +376,17 @@ def _kernel(f: Callable) -> Callable:
         return boxed
 
 
+def _compile_pairs(e: Expr, interp: Interpretation) -> Callable:
+    """Compile ``e`` once into a bound evaluator: a sequence of ``(lo, hi)``
+    pairs in, ordered like ``variable_sequence(e)``, one pair out."""
+    n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
+    return lambda pairs: _run(ops, list(pairs[:n]))
+
+
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a box evaluator (tuple of intervals in)."""
-    n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
-    return lambda args: Interval(*_run(ops, [(d.lo, d.hi) for d in args[:n]]))
+    run = _compile_pairs(e, interp)
+    return lambda args: Interval(*run([(d.lo, d.hi) for d in args]))
 
 
 def _check_arity(e: Expr, got: int):

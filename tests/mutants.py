@@ -122,7 +122,8 @@ MUTANTS = [
     Mutant(
         "product of a NaN reaches Fraction",
         "rounding.py",
-        '    if math.isnan(p):\n        raise ValueError("product of NaN operands")\n',
+        '    if a != a or b != b:  # NaN; the range test above is false on it\n'
+        '        raise ValueError("product of NaN operands")\n',
         "",
         tests=(
             "tests/test_rounding.py::TestMul::test_nan_operands_rejected",
@@ -131,7 +132,8 @@ MUTANTS = [
     Mutant(
         "quotient of a NaN reaches Fraction",
         "rounding.py",
-        '    if math.isnan(a) or math.isnan(b):\n        raise ValueError("quotient of NaN operands")\n',
+        '    if a != a or b != b:  # NaN; the range test above is false on it\n'
+        '        raise ValueError("quotient of NaN operands")\n',
         "",
         tests=(
             "tests/test_rounding.py::TestDiv::test_nan_operands_rejected",
@@ -182,6 +184,87 @@ MUTANTS = [
         tests=(
             "tests/test_expr.py::TestPrinter::test_parens_kept_where_needed",
             "tests/test_expr.py::TestRoundTrip::test_fixed_examples",
+        ),
+    ),
+    Mutant(
+        "product refuses NaN after the zero branch",
+        "rounding.py",
+        '    if a != a or b != b:  # NaN; the range test above is false on it\n'
+        '        raise ValueError("product of NaN operands")\n'
+        "    if a == 0.0 or b == 0.0:\n        return 0.0, 0\n",
+        "    if a == 0.0 or b == 0.0:\n        return 0.0, 0\n"
+        '    if a != a or b != b:  # NaN; the range test above is false on it\n'
+        '        raise ValueError("product of NaN operands")\n',
+        tests=(
+            "tests/test_rounding.py::TestMul::test_nan_operands_rejected",
+        ),
+    ),
+    Mutant(
+        "quotient refuses NaN after the zero branch",
+        "rounding.py",
+        '    if a != a or b != b:  # NaN; the range test above is false on it\n'
+        '        raise ValueError("quotient of NaN operands")\n'
+        "    if b == 0.0 or (math.isinf(a) and math.isinf(b)):\n"
+        '        raise ValueError("quotient is not defined for these bounds")\n'
+        "    if math.isinf(b):\n        return 0.0, 0\n"
+        "    if math.isinf(a):\n        return (math.inf if (a > 0) == (b > 0) else -math.inf), 0\n"
+        "    if a == 0.0:\n        return 0.0, 0\n",
+        "    if b == 0.0 or (math.isinf(a) and math.isinf(b)):\n"
+        '        raise ValueError("quotient is not defined for these bounds")\n'
+        "    if math.isinf(b):\n        return 0.0, 0\n"
+        "    if math.isinf(a):\n        return (math.inf if (a > 0) == (b > 0) else -math.inf), 0\n"
+        "    if a == 0.0:\n        return 0.0, 0\n"
+        '    if a != a or b != b:  # NaN; the range test above is false on it\n'
+        '        raise ValueError("quotient of NaN operands")\n',
+        tests=(
+            "tests/test_rounding.py::TestDiv::test_nan_operands_rejected",
+        ),
+    ),
+    # subdivision over (lo, hi) pairs
+    Mutant(
+        "widest-coordinate ties go to the highest index",
+        "analysis.py",
+        "if dw > w:",
+        "if dw >= w:",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_ties_split_the_lowest_index",
+        ),
+    ),
+    Mutant(
+        "level width without the lo < hi test",
+        "analysis.py",
+        "sub_up(hi, lo) if lo < hi else 0.0",
+        "sub_up(hi, lo)",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_empty_leaves",
+        ),
+    ),
+    Mutant(
+        "level width of a signed-zero point",
+        "analysis.py",
+        "sub_up(hi, lo) if lo < hi else 0.0",
+        "sub_up(hi, lo) if lo <= hi else 0.0",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_signed_zero_point_has_width_zero",
+        ),
+    ),
+    Mutant(
+        "budget one box short",
+        "analysis.py",
+        "created + 2 <= max_boxes",
+        "created + 2 < max_boxes",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_ties_split_the_lowest_index",
+            "tests/test_analysis.py::TestSubdivide::test_interval_constructions_do_not_grow_with_the_budget",
+        ),
+    ),
+    Mutant(
+        "_midpoint without its clamp",
+        "interval.py",
+        "    if m < lo:\n        return lo\n    if m > hi:\n        return hi\n",
+        "",
+        tests=(
+            "tests/test_interval.py::TestWidthMidpoint::test_midpoint_cases",
         ),
     ),
     # tokenizer, parser and tape

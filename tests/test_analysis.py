@@ -20,7 +20,13 @@ from relival.analysis import (
 from relival.expr import parse, variable_sequence
 from relival.interval import EMPTY, Box, Interval, hull_union, member, midpoint, subset, width
 from relival.rounding import MAX_FLOAT
-from relival.semantics import compile_interval, default_interpretation, eval_interval, mode_select
+from relival.semantics import (
+    Interpretation,
+    compile_interval,
+    default_interpretation,
+    eval_interval,
+    mode_select,
+)
 from relival.oracle import random_case
 
 INF = math.inf
@@ -334,6 +340,30 @@ class TestSubdivide:
         with pytest.raises(ValueError, match="arity"):
             subdivide_enclosure(ast("x + y"), DEFAULT, box1(0, 1), 1e-3, 16)
 
+    def test_interval_constructions_do_not_grow_with_the_budget(self, monkeypatch):
+        # leaves and level hulls are bare (lo, hi) pairs; only the report builds an Interval
+        post_init = Interval.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        e, box, counts = ast("x - x"), box1(0, 1), {}
+        monkeypatch.setattr(Interval, "__post_init__", counting)
+        for max_boxes in (15, 2047):
+            built.clear()
+            rep = subdivide_enclosure(e, DEFAULT, box, 1e-3, max_boxes)
+            assert rep.iterations == max_boxes
+            counts[max_boxes] = len(built)
+        assert counts[15] == counts[2047] <= 2
+
+    def test_signed_zero_point_has_width_zero(self):
+        # the root kernel maps the point -0.0 to the pair (0.0, -0.0): a point, width 0.0
+        rep = subdivide_enclosure(ast("sqrt(-x)"), DEFAULT, box1(0, 0), 1.0, 4)
+        assert repr(rep.widths) == "(0.0,)"
+        assert repr(rep.enclosure) == "[0,0]"
+
     def test_report_shape(self):
         # the hull over identity pieces never shrinks, but every leaf does
         rep = subdivide_enclosure(ast("x"), DEFAULT, box1(0, 1), 0.6, 8)
@@ -401,7 +431,19 @@ _RESHAPE = {
     "one_ulp": lambda d, first: Interval(d.lo, math.nextafter(d.lo, INF)),
     "huge": lambda d, first: Interval(-MAX_FLOAT, MAX_FLOAT),
     "first": lambda d, first: first,
+    "zero": lambda d, first: Interval(0.0, 0.0),  # kernels then pass -0.0 bounds along
 }
+
+
+def _boxed(interp):
+    """``interp`` with each interval operation wrapped in a plain function, so box
+    tapes run it through the boxing adapter rather than its pair kernel."""
+
+    def plain(f):
+        return lambda *args: f(*args)
+
+    ops = {sym: plain(f) for sym, f in interp.interval_ops.items()}
+    return Interpretation(interp.real_ops, ops, interp.name)
 
 
 class TestSubdivideDifferential:
@@ -432,3 +474,21 @@ class TestSubdivideDifferential:
             want.converged,
             want.nested,
         )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        reshape=st.lists(st.sampled_from(sorted(_RESHAPE)), max_size=4),
+        tol=st.sampled_from([1e-3, 0.1, 1.0]),
+        max_boxes=st.integers(1, 64),
+        mode=st.sampled_from([None, "relational", "canonical"]),
+    )
+    def test_user_defined_ops_match_the_kernels(self, seed, reshape, tol, max_boxes, mode):
+        e, box = random_case(random.Random(seed), max_depth=4)
+        dims = list(box.dims)
+        for i, name in enumerate(reshape[: len(dims)]):
+            dims[i] = _RESHAPE[name](dims[i], dims[0])
+        box = Box(tuple(dims))
+        interp = mode_select(DEFAULT, mode) if mode else DEFAULT
+        got = subdivide_enclosure(e, _boxed(interp), box, tol, max_boxes)
+        want = subdivide_enclosure(e, interp, box, tol, max_boxes)
+        assert repr(got) == repr(want)

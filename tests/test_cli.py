@@ -225,6 +225,20 @@ class TestEnclose:
         assert payload["converged"] is True
         assert code == 0
 
+    def test_four_variable_example(self, capsys):
+        # 4095 boxes; the budget runs out long before tol 1e-3 is met in 4-D
+        code, out, err = run(capsys, "enclose", "x*y + y*z - x/(w+z*z)", "--var", "x=[0.1,2]",
+                             "--var", "y=[1,3]", "--var", "z=[2,4]", "--var", "w=[1,2]",
+                             "--tol", "1e-3", "--json")
+        assert (code, err) == (4, "")
+        assert out == (
+            '{"result": "[2.0324999999999993,17.902083333333334]", "mode": "default", "widths": '
+            "[16.294444444444448, 16.294444444444448, 16.294444444444448, 16.051666666666673, "
+            "16.051666666666673, 16.051666666666673, 16.051666666666673, 15.930277777777778, "
+            "15.930277777777778, 15.930277777777778, 15.930277777777778, 15.869583333333335], "
+            '"converged": false, "violations": null}\n'
+        )
+
     def test_json_infinite_width_is_a_string(self, capsys):
         code, out, _ = run(capsys, "enclose", "x", "--var", "x=[-1e308,1e308]",
                            "--tol", "1", "--max-boxes", "1", "--json")

@@ -251,11 +251,14 @@ class TestMul:
         assert mul_down(1e300, -1e300) == -math.inf
 
     @pytest.mark.parametrize(
-        "a, b", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf), (math.inf, math.nan), (math.nan, 1e-320)]
+        "a, b",
+        [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.inf), (math.inf, math.nan), (math.nan, 1e-320),
+         (0.0, math.nan), (math.nan, 0.0)],
     )
     def test_nan_operands_rejected(self, a, b):
-        # refused by name before the exact fallback, which would fail on NaN with
-        # another message, or pass it through beside an infinite factor
+        # refused by name before the zero, infinity and exact branches, which would return
+        # 0.0 beside a zero factor, pass NaN through beside an infinite one, or fail with
+        # another message
         for f in (mul_down, mul_up):
             with pytest.raises(ValueError, match="product of NaN operands"):
                 f(a, b)
@@ -298,9 +301,14 @@ class TestDiv:
         assert div_down(1e300, 1e-300) == MAX_FLOAT
         assert div_up(1e300, 1e-300) == math.inf
 
-    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (1e-320, math.nan)])
+    @pytest.mark.parametrize(
+        "a, b",
+        [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (1e-320, math.nan),
+         (math.inf, math.nan), (math.nan, math.inf), (0.0, math.nan), (math.nan, 0.0)],
+    )
     def test_nan_operands_rejected(self, a, b):
-        # refused by name before the exact fallback, which would fail on NaN with another message
+        # refused by name before the infinity, zero and exact branches, which would
+        # return an infinity or 0.0, or fail on NaN with another message
         for f in (div_down, div_up):
             with pytest.raises(ValueError, match="quotient of NaN operands"):
                 f(a, b)
