@@ -20,9 +20,10 @@ Evaluators then treat constants as degenerate arguments, so the core
 semantics only ever deals with variables and operation symbols.
 
 The tokenizer reads each token, with the whitespace before it, in one
-regex match, and a parse gives out one shared ``Var`` per name: nodes
-are immutable and compare structurally, so sharing a leaf changes no
-result.
+regex match.  Whitespace is ASCII, as around a bound, so a space of
+another kind, such as U+3000, is an unexpected character.  A parse
+gives out one shared ``Var`` per name: nodes are immutable and compare
+structurally, so sharing a leaf changes no result.
 """
 
 from __future__ import annotations
@@ -130,13 +131,15 @@ class ParseError(ValueError):
 
 # one match per token, whitespace before it included; the match at the end of input
 # carries no group.  Without the \Z alternative a trailing run of whitespace would be
-# rescanned from each of its positions, in quadratic time.  NUMBER is rounding's decimal.
+# rescanned from each of its positions, in quadratic time.  NUMBER is rounding's decimal,
+# and whitespace is ASCII, as in a bound.
 _TOKEN = re.compile(
     rf"\s*(?:(?P<num>{_DECIMAL})"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/()])"
     r"|(?P<bad>\S)"
-    r"|\Z)"
+    r"|\Z)",
+    re.ASCII,
 )
 
 

@@ -137,10 +137,7 @@ class Interval:
     def __contains__(self, value: float) -> bool:
         return member(value, self)
 
-    def __str__(self) -> str:
-        return format_interval(self)
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # str() falls back to it
         return format_interval(self)
 
 
@@ -253,14 +250,11 @@ def _mul(x, y):
 
 
 def _div_by_positive(a, b, c, d):
-    # hull of {u / v : u in [a, b], v in [c, d], v > 0}; requires d > 0
-    if c <= 0.0:
-        # divisors reach arbitrarily close to zero from above
-        lo = _NINF if a < 0 else (0.0 if a == 0 else div_down(a, d))
-        hi = _INF if b > 0 else (0.0 if b == 0 else div_up(b, d))
-        return lo, hi
-    lo = div_down(a, c) if a < 0 else div_down(a, d)
-    hi = div_up(b, c) if b > 0 else div_up(b, d)
+    # hull of {u / v : u in [a, b], v in [c, d], v > 0}; requires d > 0.  With c <= 0 the
+    # divisors reach arbitrarily close to zero from above.  A zero numerator, 0.0 or -0.0,
+    # takes no branch of its own: div_down and div_up give 0.0 for it
+    lo = div_down(a, d) if a >= 0 else (_NINF if c <= 0.0 else div_down(a, c))
+    hi = div_up(b, d) if b <= 0 else (_INF if c <= 0.0 else div_up(b, c))
     return lo, hi
 
 
@@ -398,9 +392,10 @@ def format_interval(x: Interval) -> str:
 def parse_interval(text: str) -> Interval:
     """Parse ``empty`` or ``[lo,hi]``; literal bounds round outward.
 
-    Bounds are ``rounding``'s number text; anything else raises ValueError.
+    Bounds are ``rounding``'s number text, and the whitespace around the
+    brackets is ASCII, as in a bound; anything else raises ValueError.
     """
-    s = text.strip()
+    s = text.strip(" \t\n\r\f\v")  # what \s matches under re.ASCII
     if s.lower() == "empty":
         return EMPTY
     if not (s.startswith("[") and s.endswith("]")):

@@ -193,7 +193,7 @@ def add_down(a: float, b: float) -> float:
         raise ValueError("sum of opposing infinities has no value")
     if math.isinf(a) or math.isinf(b):
         return s
-    return MAX_FLOAT if s > 0 else s  # finite operands overflowed
+    return nextafter(s, _NINF)  # finite operands overflowed: the step above takes inf to MAX_FLOAT
 
 
 def add_up(a: float, b: float) -> float:
@@ -207,7 +207,7 @@ def add_up(a: float, b: float) -> float:
         raise ValueError("sum of opposing infinities has no value")
     if math.isinf(a) or math.isinf(b):
         return s
-    return s if s > 0 else -MAX_FLOAT
+    return nextafter(s, inf)  # finite operands overflowed: the step above takes -inf to -MAX_FLOAT
 
 
 def sub_down(a: float, b: float) -> float:
@@ -279,8 +279,8 @@ def _quotient(a: float, b: float) -> "tuple[float, float]":
         raise ValueError("quotient is not defined for these bounds")
     if math.isinf(b):
         return 0.0, 0
-    if math.isinf(a):
-        return (math.inf if (a > 0) == (b > 0) else -math.inf), 0
+    if math.isinf(a):  # b is finite and nonzero here, so IEEE gives the sign
+        return a / b, 0
     if a == 0.0:
         return 0.0, 0
     return _nearest(Fraction(a) / Fraction(b))

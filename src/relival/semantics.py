@@ -348,7 +348,7 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     for d in dims:
         if not d.is_bounded:
             raise ValueError("inclusion sampling needs a bounded box")
-    iv = eval_interval(e, interp, box)
+    iv = compile_interval(e, interp)(dims)
     lo, hi = iv.lo, iv.hi  # no value lies in the empty result (inf, -inf)
     run = _compile_columns(e, interp)
     # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once

@@ -46,8 +46,8 @@ MUTANTS = [
     Mutant(
         "add_up clamps an infinite operand",
         "rounding.py",
-        "        return s\n    return s if s > 0 else -MAX_FLOAT",
-        "        return math.copysign(MAX_FLOAT, s)\n    return s if s > 0 else -MAX_FLOAT",
+        "        return s\n    return nextafter(s, inf)",
+        "        return math.copysign(MAX_FLOAT, s)\n    return nextafter(s, inf)",
         tests=(
             "tests/test_rounding.py::TestAddSub::test_infinite_operands_pass_through",
             "tests/test_interval.py::TestWidthMidpoint::test_width_cases",
@@ -207,12 +207,14 @@ MUTANTS = [
         "    if b == 0.0 or (math.isinf(a) and math.isinf(b)):\n"
         '        raise ValueError("quotient is not defined for these bounds")\n'
         "    if math.isinf(b):\n        return 0.0, 0\n"
-        "    if math.isinf(a):\n        return (math.inf if (a > 0) == (b > 0) else -math.inf), 0\n"
+        "    if math.isinf(a):  # b is finite and nonzero here, so IEEE gives the sign\n"
+        "        return a / b, 0\n"
         "    if a == 0.0:\n        return 0.0, 0\n",
         "    if b == 0.0 or (math.isinf(a) and math.isinf(b)):\n"
         '        raise ValueError("quotient is not defined for these bounds")\n'
         "    if math.isinf(b):\n        return 0.0, 0\n"
-        "    if math.isinf(a):\n        return (math.inf if (a > 0) == (b > 0) else -math.inf), 0\n"
+        "    if math.isinf(a):  # b is finite and nonzero here, so IEEE gives the sign\n"
+        "        return a / b, 0\n"
         "    if a == 0.0:\n        return 0.0, 0\n"
         '    if a != a or b != b:  # NaN; the range test above is false on it\n'
         '        raise ValueError("quotient of NaN operands")\n',
@@ -278,6 +280,25 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "token pattern skips whitespace outside ASCII",
+        "expr.py",
+        '    r"|\\Z)",\n    re.ASCII,\n)',
+        '    r"|\\Z)",\n)',
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_whitespace_outside_ascii_rejected",
+            "tests/test_cli.py::TestArgumentErrors::test_whitespace_outside_ascii_exit_two",
+        ),
+    ),
+    Mutant(
+        "interval text stripped of whitespace outside ASCII",
+        "interval.py",
+        's = text.strip(" \\t\\n\\r\\f\\v")',
+        "s = text.strip()",
+        tests=(
+            "tests/test_interval.py::TestTextSyntax::test_parse_errors",
+        ),
+    ),
+    Mutant(
         "token position includes the whitespace before it",
         "expr.py",
         "tokens.append((kind, m.group(kind), m.start(kind)))",
@@ -340,8 +361,8 @@ MUTANTS = [
     Mutant(
         "add_down returns an overflowed sum",
         "rounding.py",
-        "return MAX_FLOAT if s > 0 else s  # finite operands overflowed",
-        "return s",
+        "return nextafter(s, _NINF)  # finite operands overflowed",
+        "return s  # finite operands overflowed",
         tests=(
             "tests/test_rounding.py::TestAddSub::test_overflow_from_finite_operands",
         ),
@@ -349,10 +370,38 @@ MUTANTS = [
     Mutant(
         "add_up returns an overflowed sum",
         "rounding.py",
-        "    return s if s > 0 else -MAX_FLOAT",
-        "    return s",
+        "return nextafter(s, inf)  # finite operands overflowed",
+        "return s  # finite operands overflowed",
         tests=(
             "tests/test_rounding.py::TestAddSub::test_overflow_from_finite_operands",
+        ),
+    ),
+    Mutant(
+        "add_down steps an overflowed sum up",
+        "rounding.py",
+        "return nextafter(s, _NINF)  # finite operands overflowed",
+        "return nextafter(s, inf)  # finite operands overflowed",
+        tests=(
+            "tests/test_rounding.py::TestAddSub::test_overflow_from_finite_operands",
+        ),
+    ),
+    Mutant(
+        "quotient returns a zero numerator as given",
+        "rounding.py",
+        "    if a == 0.0:\n        return 0.0, 0\n",
+        "    if a == 0.0:\n        return a, 0\n",
+        tests=(
+            "tests/test_rounding.py::TestDiv::test_zero_numerator_gives_positive_zero",
+            "tests/test_semantics.py::TestKernelPath::test_zero_quotients_by_repr",
+        ),
+    ),
+    Mutant(
+        "quotient returns an infinite numerator as given",
+        "rounding.py",
+        "        return a / b, 0\n",
+        "        return a, 0\n",
+        tests=(
+            "tests/test_rounding.py::TestDiv::test_infinite_dividend_keeps_sign",
         ),
     ),
     Mutant(
@@ -435,9 +484,8 @@ MUTANTS = [
         "rounding.py",
         '_DECIMAL = r"(?:[0-9]+(?:\\.[0-9]*)?|\\.[0-9]+)(?:[eE][+-]?[0-9]+)?"',
         '_DECIMAL = r"(?:\\d+(?:\\.\\d*)?|\\.\\d+)(?:[eE][+-]?\\d+)?"',
-        tests=(
-            "tests/test_expr.py::TestParseErrors::test_digits_of_other_scripts_rejected",
-        ),
+        equivalent="_DECIMAL is compiled only into _NUMBER and expr._TOKEN, both re.ASCII, where "
+        "\\d is [0-9]; the mutant 'token pattern skips whitespace outside ASCII' drops the flag",
     ),
     Mutant(
         "no ASCII check on number text",

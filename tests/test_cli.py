@@ -405,6 +405,16 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: bad interval bound")
 
+    def test_whitespace_outside_ascii_exit_two(self, capsys):
+        # U+3000 and \x1c once passed for whitespace: this printed [1,2] with exit 0
+        code, out, err = run(capsys, "eval", "x\u3000+\x1c1", "--var", "x=[0,1]\u3000")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot parse expression")
+        assert "(at position 1)" in err
+        code, out, err = run(capsys, "eval", "x", "--var", "x=[0,1]\u3000")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad interval syntax")
+
     def test_bad_var_syntax_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x[0,1]")
         assert code == 2

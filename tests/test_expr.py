@@ -64,6 +64,7 @@ class TestParseShapes:
 
     def test_whitespace_insensitive(self):
         assert ast(" x+y ") == ast("x + y")
+        assert ast(" \t\nx\r\x0b+\x0cy ") == ast("x + y")  # every ASCII whitespace character
 
 
 class TestConstants:
@@ -154,6 +155,16 @@ class TestParseErrors:
             parse(source)
         assert exc.value.position == position
 
+    @pytest.mark.parametrize(
+        "source, position",
+        [("x\u3000+ 1", 1), ("x +\x1c1", 3), ("\xa0x", 0), ("x\u2028", 1)],
+    )
+    def test_whitespace_outside_ascii_rejected(self, source, position):
+        # whitespace is ASCII, as around a bound: U+3000, \x1c, NBSP, LINE SEPARATOR are not
+        with pytest.raises(ParseError, match="unexpected character") as exc:
+            parse(source)
+        assert exc.value.position == position
+
     def test_error_is_a_value_error(self):
         with pytest.raises(ValueError):
             parse("x +")
@@ -227,13 +238,15 @@ def _exprs():
 
 # The tokenizer and parser as they were before each token became one regex match
 # (whitespace was a token kind of its own) and before leaves were shared: the reference
-# the single-match tokenizer and the parser are tested against.
+# the single-match tokenizer and the parser are tested against.  Both take ASCII
+# whitespace only, so other whitespace is a bad character on each side.
 _REFERENCE_TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/()])"
     r"|(?P<ws>\s+)"
-    r"|(?P<bad>.)"
+    r"|(?P<bad>.)",
+    re.ASCII,
 )
 
 
@@ -311,8 +324,8 @@ def _outcome(f, source):
         return "error", str(exc), exc.position
 
 
-# characters of every token kind, the unicode whitespace \s matches (\x1c, the
-# ideographic space) and characters no token takes ($, é)
+# characters of every token kind, whitespace outside ASCII that both sides refuse (\x1c,
+# the ideographic space) and characters no token takes ($, é)
 _CHARS = "0123456789.eE" + "axyzAZ_" + "+-*/()" + "$é" + "\t\n\r\x0b\x0c\x1c \u3000"
 # whole words, so that literals, reserved words and fresh-name collisions turn up often
 _WORDS = ["x", "y", "_c0", "_c1", "abs", "sqrt", "sqrtr", "foo", "2", "0.5", "1e3", ".5e-1",

@@ -585,9 +585,13 @@ class TestTextSyntax:
 
     def test_parse_whitespace_tolerated(self):
         assert parse_interval("  [1, 2]  ") == Interval(1, 2)
+        assert parse_interval("\t\n\r\x0b\x0c[1,2]\x0c\x0b\r\n\t") == Interval(1, 2)
+        assert parse_interval(" empty\n") == EMPTY
 
     def test_parse_errors(self):
-        for bad in ("1,2", "[1 2]", "[a,b]", "[1,2,3]", "[]", "[1,nan]", ""):
+        # whitespace around the brackets is ASCII, as inside a bound
+        for bad in ("1,2", "[1 2]", "[a,b]", "[1,2,3]", "[]", "[1,nan]", "",
+                    "[0,1]\u3000", "\x1c[0,1]", "\xa0empty", "[\u30000,1]"):
             with pytest.raises(ValueError):
                 parse_interval(bad)
 

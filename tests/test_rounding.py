@@ -288,6 +288,13 @@ class TestDiv:
         assert div_up(-5.0, math.inf) == 0.0
         assert div_down(5.0, -math.inf) == 0.0
 
+    @pytest.mark.parametrize("b", [5e-324, 1.0, MAX_FLOAT, math.inf])
+    @pytest.mark.parametrize("a", [0.0, -0.0])
+    def test_zero_numerator_gives_positive_zero(self, a, b):
+        # by repr, since 0.0 == -0.0: interval kernels pass these bounds on unnormalized
+        for f in (div_down, div_up):
+            assert repr(f(a, b)) == "0.0"
+
     def test_infinite_dividend_keeps_sign(self):
         assert div_down(math.inf, 2.0) == math.inf
         assert div_down(math.inf, -2.0) == -math.inf
