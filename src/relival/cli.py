@@ -16,7 +16,9 @@ options.
 Every argument is declared once, in the ``_COMMON`` and ``_COMMANDS``
 tables, and both the parser and the set of options that take a value
 are read off them.  A call whose first argument names a subcommand
-builds the parser of that subcommand only.
+builds and runs that subcommand's parser alone; the full parser, with
+all four, is built only for a call that names none or that gives an
+argument its subcommand does not take (see ``_parse_args``).
 
 ``--json`` prints strict JSON: an infinite width is the string
 ``"inf"``, as in the text output.  ``--at`` values are number text as
@@ -39,7 +41,7 @@ from math import inf
 from .analysis import check_convergence, refine_toward, subdivide_enclosure
 from .expr import ParseError, parse, variable_sequence
 from .interval import Box, format_interval, hull_bounds, parse_interval
-from .rounding import _exact_value
+from .rounding import _WHITESPACE, _exact_value
 from .semantics import default_interpretation, eval_interval, mode_select, sample_inclusion
 
 __all__ = ["main"]
@@ -73,7 +75,7 @@ def _parse_bindings(var_flags):
     bindings = {}
     for flag in var_flags or ():
         name, sep, text = flag.partition("=")
-        name = name.strip()
+        name = name.strip(_WHITESPACE)
         if not sep or not name:
             raise _CliError(2, f"--var needs NAME=[lo,hi], got {flag!r}")
         if name in bindings:
@@ -110,7 +112,7 @@ def _assemble(expr_text: str, var_flags):
 
 def _parse_point(at_text: str, names, constants, user_names):
     # an empty --at gives no values, for expressions without variables
-    tokens = at_text.split(",") if at_text.strip() else []
+    tokens = at_text.split(",") if at_text.strip(_WHITESPACE) else []
     if len(tokens) != len(user_names):
         raise _CliError(
             2,
@@ -274,34 +276,24 @@ _TAKES_VALUE = frozenset(
 )
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The ``relival`` parser; if ``command`` names a subcommand, only its subparser.
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    """Give ``parser`` the arguments of subcommand ``name``: ``_COMMON``, then its own."""
+    for arg, keywords in _COMMON + _COMMANDS[name][2]:
+        parser.add_argument(arg, **keywords)
 
-    argparse dispatches only to the subparser that the first argument
-    names, so a call that names one needs no other.  The other names
-    still show in the top-level usage line, through the metavar that
-    argparse would otherwise build from the subparsers it holds.  Any
-    other ``command`` (``None`` included) builds all four, for the
-    top-level help, the invalid-choice error and the missing-command
-    error (which names the dest when no metavar is given).
-    """
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full ``relival`` parser: the top-level parser and all four subparsers."""
     parser = argparse.ArgumentParser(
         prog="relival",
         description="Interval evaluation of arithmetic expressions with "
         "outward rounding and total relational division and roots.",
         allow_abbrev=False,
     )
-    if command in _COMMANDS:
-        names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"
-    else:
-        names, metavar = _COMMANDS, None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, _, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
         # only full option names, which are the names glued to their values
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        for arg, keywords in _COMMON + options:
-            p.add_argument(arg, **keywords)
+        _add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
@@ -330,10 +322,34 @@ def _join_option_values(argv) -> list:
     return out
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, exiting where it exits.
+
+    The full parser hands everything after a subcommand's name to that
+    subcommand's parser, and refuses only what that parser leaves over.
+    So when ``argv`` names a subcommand, a parser built as ``add_parser``
+    builds it (same ``prog``, same options) parses the rest alone, into a
+    namespace that starts with ``command`` as the full parse's does: its
+    help, usage lines and errors are the ones the full parse prints.  The
+    full parser is built only for a call that names no subcommand (help,
+    an unknown name, an option first), and for one that leaves an
+    argument over, which it refuses under the top-level usage line.
+    """
+    joined = _join_option_values(argv)
+    name = joined[0] if joined else None
+    if name in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"relival {name}", allow_abbrev=False)
+        _add_arguments(parser, name)
+        args, extras = parser.parse_known_args(joined[1:], argparse.Namespace(command=name))
+        if not extras:
+            return args
+    return _build_parser().parse_args(joined)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(_join_option_values(argv))
+    args = _parse_args(argv)
     _, handler, _ = _COMMANDS[args.command]
     try:
         return handler(args)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 # in this module's namespace, so each must stay bound
 from .rounding import (
     _NINF,
+    _WHITESPACE,
     _abridged,
     add_down,
     add_up,
@@ -395,7 +396,7 @@ def parse_interval(text: str) -> Interval:
     Bounds are ``rounding``'s number text, and the whitespace around the
     brackets is ASCII, as in a bound; anything else raises ValueError.
     """
-    s = text.strip(" \t\n\r\f\v")  # what \s matches under re.ASCII
+    s = text.strip(_WHITESPACE)
     if s.lower() == "empty":
         return EMPTY
     if not (s.startswith("[") and s.endswith("]")):

@@ -74,6 +74,8 @@ _DIGIT_LIMIT = 10**_MAX_DIGITS
 _MAX_COEFFICIENT = 14_300
 # expr's NUMBER too; no run of digits splits two ways, so a long miss fails in linear time
 _DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# what \s matches under re.ASCII; interval text, --var names and --at strip these alone
+_WHITESPACE = " \t\n\r\f\v"
 _NUMBER = re.compile(rf"\s*[-+]?(?:{_DECIMAL}|(?i:inf(?:inity)?)|[0-9]+/0*[1-9][0-9]*)\s*", re.ASCII)
 # an error message cuts a literal of over 3 * _SHOWN characters to its first and last _SHOWN
 _SHOWN = 12

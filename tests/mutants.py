@@ -292,7 +292,7 @@ MUTANTS = [
     Mutant(
         "interval text stripped of whitespace outside ASCII",
         "interval.py",
-        's = text.strip(" \\t\\n\\r\\f\\v")',
+        "s = text.strip(_WHITESPACE)",
         "s = text.strip()",
         tests=(
             "tests/test_interval.py::TestTextSyntax::test_parse_errors",
@@ -433,12 +433,32 @@ MUTANTS = [
     ),
     # command line
     Mutant(
-        "a named command builds every subparser",
+        "a named command's parser accepts left-over arguments",
         "cli.py",
-        'names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"',
-        'names, metavar = _COMMANDS, "{" + ",".join(_COMMANDS) + "}"',
+        "        if not extras:\n            return args\n",
+        "        if True:\n            return args\n",
         tests=(
-            "tests/test_cli.py::TestParserTable::test_a_named_command_builds_only_its_parser",
+            "tests/test_cli.py::TestParserTable::test_a_left_over_argument_builds_the_full_parser",
+            "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
+        ),
+    ),
+    Mutant(
+        "a named command's parser is called relival",
+        "cli.py",
+        'prog=f"relival {name}"',
+        'prog="relival"',
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_a_named_command_builds_one_parser",
+            "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
+        ),
+    ),
+    Mutant(
+        "a named command's namespace gets command last",
+        "cli.py",
+        "args, extras = parser.parse_known_args(joined[1:], argparse.Namespace(command=name))\n",
+        "args, extras = parser.parse_known_args(joined[1:])\n        args.command = name\n",
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_parsed_arguments_match_the_parent_parser",
         ),
     ),
     Mutant(
@@ -461,12 +481,21 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "a named command's parser has no metavar",
+        "--var name stripped of whitespace outside ASCII",
         "cli.py",
-        'names, metavar = (command,), "{" + ",".join(_COMMANDS) + "}"',
-        "names, metavar = (command,), None",
+        "name = name.strip(_WHITESPACE)",
+        "name = name.strip()",
         tests=(
-            "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
+            "tests/test_cli.py::TestArgumentErrors::test_whitespace_outside_ascii_in_var_names_and_at",
+        ),
+    ),
+    Mutant(
+        "--at tested for whitespace outside ASCII",
+        "cli.py",
+        "if at_text.strip(_WHITESPACE) else []",
+        "if at_text.strip() else []",
+        tests=(
+            "tests/test_cli.py::TestArgumentErrors::test_whitespace_outside_ascii_in_var_names_and_at",
         ),
     ),
     Mutant(

@@ -5,8 +5,10 @@ import contextlib
 import functools
 import io
 import json
+import os
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -415,6 +417,19 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("error: bad interval syntax")
 
+    def test_whitespace_outside_ascii_in_var_names_and_at(self, capsys):
+        # str.strip() once took U+3000 for whitespace: the first printed [0,1] and the
+        # second read a lone U+3000 as no values, each with exit 0
+        code, out, err = run(capsys, "eval", "x", "--var", "x　=[0,1]")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        code, out, err = run(capsys, "refine", "1", "--at", "　", "--steps", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: --at needs 0 value(s)")
+        # ASCII whitespace is still stripped
+        assert run(capsys, "eval", "x", "--var", " \t x \n=[0,1]") == (0, "[0,1]\n", "")
+        assert run(capsys, "refine", "1", "--at", " \t", "--steps", "1")[0] == 0
+
     def test_bad_var_syntax_exit_two(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x[0,1]")
         assert code == 2
@@ -800,8 +815,7 @@ def _reference_main(argv):
 
 
 def _table_args(argv):
-    parser = cli._build_parser(argv[0] if argv else None)
-    return vars(parser.parse_args(cli._join_option_values(argv)))
+    return vars(cli._parse_args(argv))
 
 
 _COMMAND_NAMES = ("eval", "refine", "enclose", "check")
@@ -846,7 +860,20 @@ _BATTERY = [
     ("check", "x", "--var", "x=[0,1]", "--samples", "many"),
     ("check", "x", "--var", "x=[0,1]", "--tol", "1"),
     ("check", "x*x", "--var", "x=[0,1]", "--samples", "5", "--seed", "-3"),
+    # arguments that the named subcommand's parser leaves over, which the full parser refuses
+    ("eval", "--var", "x=[0,1]", "--", "x", "y"),
+    ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "extra"),
+    ("enclose", "x", "--var", "x=[0,1]", "--tol", "1", "extra"),
+    ("check", "x", "--var", "x=[0,1]", "--seed", "1", "2"),
 ]
+
+# one call of each subcommand that its own parser reads to the end
+_RUNS = {
+    "eval": ("eval", "x", "--var", "x=[0,1]"),
+    "refine": ("refine", "x", "--var", "x=[-1,1]", "--at", "-0.5", "--steps", "2", "--tol", "1"),
+    "enclose": ("enclose", "x - x", "--var", "x=[0,1]", "--tol", "1", "--max-boxes", "64"),
+    "check": ("check", "x*x", "--var", "x=[0,1]", "--samples", "5", "--seed", "-3"),
+}
 
 
 class TestParserTable:
@@ -865,15 +892,33 @@ class TestParserTable:
         assert cli._TAKES_VALUE == _takes_value(cli._build_parser())
         assert cli._TAKES_VALUE == _takes_value(_reference_parser())
 
+    @staticmethod
+    def _progs_built(monkeypatch, argv):
+        """The ``prog`` of every ArgumentParser that one call constructs, and the call's result."""
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        result = run_any(argv)
+        monkeypatch.undo()
+        return built, result
+
     @pytest.mark.parametrize("name", _COMMAND_NAMES)
-    def test_a_named_command_builds_only_its_parser(self, name):
-        sub = next(a for a in cli._build_parser(name)._actions if a.dest == "command")
-        assert list(sub.choices) == [name]
-        full = next(a for a in cli._build_parser()._actions if a.dest == "command")
-        assert list(full.choices) == list(_COMMAND_NAMES)
-        assert [a.option_strings for a in sub.choices[name]._actions] == [
-            a.option_strings for a in full.choices[name]._actions
-        ]
+    def test_a_named_command_builds_one_parser(self, monkeypatch, name):
+        built, (code, out, err) = self._progs_built(monkeypatch, _RUNS[name])
+        assert built == [f"relival {name}"]
+        assert (code, err) == (0, "") and out
+
+    def test_a_left_over_argument_builds_the_full_parser(self, monkeypatch):
+        argv = ("enclose", "x", "--var", "x=[0,1]", "--tol", "1", "extra")
+        built, (code, out, err) = self._progs_built(monkeypatch, argv)
+        assert built == ["relival enclose", "relival", *(f"relival {n}" for n in _COMMAND_NAMES)]
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: relival [-h] {eval,refine,enclose,check} ...\n")
+        assert err.endswith("relival: error: unrecognized arguments: extra\n")
 
     @given(_argvs())
     def test_parsed_arguments_match_the_parent_parser(self, argv):
@@ -881,3 +926,9 @@ class TestParserTable:
         reference = run_any(argv, lambda a: _reference_args(a)[1])
         # compared as text: "--tol nan" parses to two NaNs, which never compare equal
         assert repr(table) == repr(reference)
+
+    @given(_argvs())
+    def test_same_output_as_the_parent_parser(self, argv):
+        # as the battery, over the fuzzed argvs: exit code, stdout and stderr
+        with mock.patch.dict(os.environ, COLUMNS="100"):
+            assert run_any(argv) == run_any(argv, _reference_main)
