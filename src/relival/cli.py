@@ -114,11 +114,8 @@ def _parse_point(at_text: str, names, constants, user_names):
     # an empty --at gives no values, for expressions without variables
     tokens = at_text.split(",") if at_text.strip(_WHITESPACE) else []
     if len(tokens) != len(user_names):
-        raise _CliError(
-            2,
-            f"--at needs {len(user_names)} value(s) for {', '.join(user_names)}, "
-            f"got {len(tokens)}",
-        )
+        names_part = f" for {', '.join(user_names)}" if user_names else ""
+        raise _CliError(2, f"--at needs {len(user_names)} value(s){names_part}, got {len(tokens)}")
     try:
         # read like bounds and literals, then rounded to nearest with the constants
         values = {n: (f"--at value for {n}", _exact_value(t)) for n, t in zip(user_names, tokens)}

@@ -19,11 +19,22 @@ numerator or denominator needs more than 4300 digits is a parse error).
 Evaluators then treat constants as degenerate arguments, so the core
 semantics only ever deals with variables and operation symbols.
 
-The tokenizer reads each token, with the whitespace before it, in one
-regex match.  Whitespace is ASCII, as around a bound, so a space of
-another kind, such as U+3000, is an unexpected character.  A parse
-gives out one shared ``Var`` per name: nodes are immutable and compare
-structurally, so sharing a leaf changes no result.
+The tokenizer is one ``re.findall`` that returns each token's text,
+without the whitespace before it, and ends with ``""`` at the end of
+input.  A token's kind is read off its first character: an ASCII letter
+or ``_`` starts an identifier, a digit or ``.`` a number (a lone ``.``
+is a bad character), and any other single character is an operator or
+a bad character.  The distinct texts are checked for bad characters
+before parsing, so the first one in the source is reported before any
+syntax error.  Whitespace is ASCII, as around a bound, so a space of
+another kind, such as U+3000, is an unexpected character.  Positions are
+not kept per token: an error finds its position by scanning the source
+again up to the token.
+
+A parse gives out one shared ``Var`` per name: nodes are immutable and
+compare structurally, so sharing a leaf changes no result.  It also
+builds the evaluators' tape as it reduces (see ``_tape``) and leaves it,
+with the variable sequence, on the root it returns.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .rounding import _DECIMAL, _exact_value
 
@@ -87,29 +99,48 @@ class Expr:
         return "".join(pieces)
 
 
-# equality, hashing and repr come from Expr
-@dataclass(frozen=True, eq=False, repr=False)
+# Equality, hashing and repr come from Expr; fields, replace and frozen assignment stay
+# the dataclass's.  Each __init__ sets its fields past the frozen __setattr__ through
+# object.__setattr__ bound once, where the generated one looks it up per field.  Writing
+# self.__dict__ would build faster still, but it gives every node a dict of its own
+# (104 -> 168 bytes per Binary on CPython 3.11) and slows every field read.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Var(Expr):
     """A variable leaf, named as in the source."""
 
     name: str
 
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Unary(Expr):
     """A unary operation applied to one child."""
 
     op: str  # "neg", "abs", "sqrt" or "sqrtr"
     child: Expr
 
+    def __init__(self, op: str, child: Expr):
+        _set(self, "op", op)
+        _set(self, "child", child)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Binary(Expr):
     """A binary operation on a left and a right operand."""
 
     op: str  # "+", "-", "*" or "/"
     left: Expr
     right: Expr
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 @dataclass(frozen=True)
@@ -129,35 +160,39 @@ class ParseError(ValueError):
         self.position = position
 
 
-# one match per token, whitespace before it included; the match at the end of input
-# carries no group.  Without the \Z alternative a trailing run of whitespace would be
-# rescanned from each of its positions, in quadratic time.  NUMBER is rounding's decimal,
-# and whitespace is ASCII, as in a bound.
-_TOKEN = re.compile(
-    rf"\s*(?:(?P<num>{_DECIMAL})"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/()])"
-    r"|(?P<bad>\S)"
-    r"|\Z)",
-    re.ASCII,
-)
+# One match per token, whitespace before it included, and one group: the token's text,
+# "" at the end of input (where findall may match twice).  Without the \Z alternative a
+# trailing run of whitespace would be rescanned from each of its positions, in quadratic
+# time.  NUMBER is rounding's decimal, and whitespace is ASCII, as in a bound.
+_TOKEN = re.compile(rf"\s*({_DECIMAL}|[A-Za-z_][A-Za-z0-9_]*|[-+*/()]|\S|\Z)", re.ASCII)
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("0123456789.")  # a lone "." is refused as a bad character
+# the one-character texts that are tokens; every other one is a bad character
+_GOOD = _IDENT_START | frozenset("0123456789+-*/()")
 
 
-def _tokenize(source: str):
-    """``(kind, text, position)`` per token, ended by the sentinel ``(None, "", len(source))``."""
-    tokens = []
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind is None:  # the end of input; finditer may match it twice
-            break
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
-        tokens.append((kind, m.group(kind), m.start(kind)))
-    tokens.append((None, "", len(source)))
-    return tokens
+def _tokenize(source: str) -> "tuple[list[str], set[str]]":
+    """The token texts of ``source``, ending in ``""``, and the set of them.
+
+    The first bad character in the source is an error here, before any
+    syntax error the parser could find.
+    """
+    texts = _TOKEN.findall(source)
+    distinct = set(texts)
+    bad = {t for t in distinct - _GOOD if len(t) == 1}
+    if bad:
+        i = next(k for k, t in enumerate(texts) if t in bad)
+        raise ParseError(f"unexpected character {texts[i]!r}", _position(source, i))
+    return texts, distinct
+
+
+def _position(source: str, index: int) -> int:
+    """Where the text of token ``index`` starts in ``source``: scanned again, for errors only."""
+    return next(islice(_TOKEN.finditer(source), index, None)).start(1)
 
 
 _PREFIX = ("neg",) + UNARY_WORDS
+_OPENERS = {"-": "neg", "(": "(", **{w: w for w in UNARY_WORDS}}  # operand position only
 _PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
 
 
@@ -167,97 +202,119 @@ def parse(source: str) -> "tuple[Expr, list[Binding]]":
     Bindings are listed in order of literal occurrence; the AST refers to
     them by their fresh variable names.  Leaves are immutable, so one
     ``Var`` per name serves every occurrence of that name in the tree.
-    The root's variable sequence is cached as the parse finds it.
+    The root's variable sequence and tape are cached as the parse finds
+    them.
 
-    The tokenizer takes each token, with the whitespace before it, in one
-    regex match.  The parser is an operator-precedence loop over explicit
-    operand and operator stacks, so nesting depth is bounded by memory
-    rather than by the interpreter's recursion limit.  The operator stack
-    holds ``'('`` markers, pending prefix operations (``neg`` and the
-    unary words, which bind tighter than any infix operator) and pending
-    infix symbols.
+    The parser is an operator-precedence loop over explicit operand and
+    operator stacks, so nesting depth is bounded by memory rather than by
+    the interpreter's recursion limit.  The operator stack holds ``'('``
+    markers, pending prefix operations (``neg`` and the unary words, which
+    bind tighter than any infix operator) and pending infix symbols.  Each
+    operand carries its tape slot, and a reduction completes a node after
+    its children, left before right: post-order, the tape's order.
     """
-    tokens = _tokenize(source)
-    leaves: dict = {}  # name -> its one Var, in order of first occurrence
-    used = None  # identifiers of the source, gathered at the first number literal
+    texts, distinct = _tokenize(source)
+    leaves: dict = {}  # name -> (its one Var, its slot), in order of first occurrence
+    keys: dict = {}  # operation key -> provisional slot
+    ops: list = []  # operation keys in tape order
     bindings: list[Binding] = []
     fresh = 0
-    operands: list[Expr] = []
+    operands: list = []  # (node, slot) of each finished subterm
     operators: list[str] = []
     i = 0
     want_operand = True
-    # only op tokens have the texts "-", "(", ")" and the infix symbols
     while True:
-        kind, text, at = tokens[i]
+        text = texts[i]
         i += 1
         if want_operand:
-            if text == "-" or text == "(":
-                operators.append("neg" if text == "-" else "(")
+            opener = _OPENERS.get(text)
+            if opener is not None:
+                operators.append(opener)
                 continue
-            if kind == "ident":
-                if text in UNARY_WORDS:
-                    operators.append(text)
-                    continue
-                if tokens[i][1] == "(":  # the sentinel ends the list, so tokens[i] exists
-                    raise ParseError(f"unknown operation symbol {text!r}", at)
-                leaf = leaves.get(text)
-                if leaf is None:
-                    leaf = leaves[text] = Var(text)
-                operands.append(leaf)
-            elif kind == "num":
-                if used is None:
-                    used = {t for k, t, _ in tokens if k == "ident"}
-                while f"_c{fresh}" in used:
+            leaf = leaves.get(text)  # a fresh name never equals an identifier of the source
+            if leaf is None and text[:1] in _IDENT_START:
+                leaf = leaves[text] = (Var(text), len(leaves))
+            if leaf is not None:
+                if texts[i] == "(":  # the list ends with "", so texts[i] exists
+                    raise ParseError(f"unknown operation symbol {text!r}", _position(source, i - 1))
+            elif text[:1] in _NUMBER_START:
+                while f"_c{fresh}" in distinct:
                     fresh += 1
                 name = f"_c{fresh}"
                 fresh += 1
                 try:
                     value = _exact_value(text)
                 except ValueError as exc:
-                    raise ParseError(f"bad number literal: {exc}", at) from None
+                    raise ParseError(f"bad number literal: {exc}", _position(source, i - 1)) from None
                 bindings.append(Binding(name, text, value))
-                leaf = leaves[name] = Var(name)
-                operands.append(leaf)
-            elif kind is None:
-                raise ParseError("unexpected end of input", at)
+                leaf = leaves[name] = (Var(name), len(leaves))
+            elif text:
+                raise ParseError(f"unexpected {text!r}", _position(source, i - 1))
             else:
-                raise ParseError(f"unexpected {text!r}", at)
+                raise ParseError("unexpected end of input", _position(source, i - 1))
+            operands.append(leaf)
             if operators and operators[-1] in _PREFIX:
-                _apply_prefix(operands, operators)
+                _apply_prefix(operands, operators, keys, ops)
             want_operand = False
             continue
         if text in _PREC:
-            _apply_infix(operands, operators, _PREC[text])
+            _apply_infix(operands, operators, keys, ops, _PREC[text])
             operators.append(text)
             want_operand = True
             continue
         # anything else closes the innermost open group, or the whole input
-        _apply_infix(operands, operators, 0)
+        _apply_infix(operands, operators, keys, ops, 0)
         if not operators:
-            if kind is None:
-                root = operands[0]
+            if not text:
+                root = operands[0][0]
                 # leaves appear in the tree in source order: its first occurrences
                 root.__dict__["_varseq"] = tuple(leaves)
+                root.__dict__["_tape"] = _absolute(len(leaves), ops)
                 return root, bindings
-            raise ParseError(f"unexpected {text!r} after expression", at)
+            raise ParseError(f"unexpected {text!r} after expression", _position(source, i - 1))
         if text != ")":
-            raise ParseError("expected ')'", at)
+            raise ParseError("expected ')'", _position(source, i - 1))
         operators.pop()
         if operators and operators[-1] in _PREFIX:
-            _apply_prefix(operands, operators)
+            _apply_prefix(operands, operators, keys, ops)
 
 
-def _apply_prefix(operands: list, operators: list):
+def _apply_prefix(operands: list, operators: list, keys: dict, ops: list):
     # a factor just completed: the prefix operations waiting for it apply now
     while operators and operators[-1] in _PREFIX:
-        operands.append(Unary(operators.pop(), operands.pop()))
+        op = operators.pop()
+        child, a = operands[-1]
+        operands[-1] = (Unary(op, child), _intern((op, a, -1), keys, ops))
 
 
-def _apply_infix(operands: list, operators: list, prec: int):
+def _apply_infix(operands: list, operators: list, keys: dict, ops: list, prec: int):
     # left-associative: fold every pending infix symbol binding at least as tightly
     while operators and _PREC.get(operators[-1], -1) >= prec:
-        right = operands.pop()
-        operands.append(Binary(operators.pop(), operands.pop(), right))
+        op = operators.pop()
+        right, b = operands.pop()
+        left, a = operands[-1]
+        operands[-1] = (Binary(op, left, right), _intern((op, a, b), keys, ops))
+
+
+def _intern(key: tuple, keys: dict, ops: list) -> int:
+    """The provisional slot of the operation ``key``, ``(symbol, a, b)``.
+
+    A key seen before keeps its first slot, so a repeated subterm is
+    evaluated once.  Operations are numbered ``-2, -3, ...`` in the order
+    they are first seen, until the variable count is known (``_absolute``).
+    """
+    k = keys.get(key)
+    if k is None:
+        k = keys[key] = -2 - len(ops)
+        ops.append(key)
+    return k
+
+
+def _absolute(n: int, ops: list) -> "tuple[int, tuple[tuple[str, int, int], ...]]":
+    """The tape of ``n`` variables and the operations ``ops``: each
+    provisional slot ``-2 - k`` becomes ``n + k``; variable slots and the
+    unary mark ``-1`` stay."""
+    return n, tuple((sym, a if a >= 0 else n - 2 - a, b if b >= -1 else n - 2 - b) for sym, a, b in ops)
 
 
 def _postorder(e: Expr) -> "list[Expr]":
@@ -349,6 +406,36 @@ def _variable_sequence(e: Expr, order: "list[Expr]") -> "tuple[str, ...]":
     if seq is None:
         seq = e.__dict__["_varseq"] = tuple(dict.fromkeys(_leaf_names(order)))
     return seq
+
+
+def _tape(e: Expr) -> "tuple[int, tuple[tuple[str, int, int], ...]]":
+    """Argument count and operations of ``e``'s tape; cached on the node.
+
+    ``parse`` leaves the tape on the root it returns.  Any other tree is
+    walked once: the post-order list gives the variable sequence (when
+    ``e`` has none cached yet) and the operations, interned as ``parse``
+    interns them.
+    """
+    tape = e.__dict__.get("_tape")
+    if tape is None:
+        order = _postorder(e)
+        names = _variable_sequence(e, order)
+        slot = {name: k for k, name in enumerate(names)}
+        keys: dict = {}
+        ops: list = []
+        stack: list[int] = []  # slot of each finished subterm
+        for node in order:
+            if isinstance(node, Var):
+                stack.append(slot[node.name])
+                continue
+            if isinstance(node, Unary):
+                key = (node.op, stack.pop(), -1)
+            else:
+                b = stack.pop()
+                key = (node.op, stack.pop(), b)
+            stack.append(_intern(key, keys, ops))
+        tape = e.__dict__["_tape"] = _absolute(len(names), ops)
+    return tape
 
 
 def variable_sequence(e: Expr) -> "tuple[str, ...]":

@@ -3,7 +3,9 @@
 An ``Interpretation`` assigns each operation symbol a real partial
 function and an interval operation that extends it setwise.  Both
 layers run one tape (a straight-line operation list, or Wengert list)
-that is built once per root node without recursion and cached there.
+that is built once per root node without recursion and cached there:
+``parse`` builds it as it reduces, and a tree built some other way gets
+it from one post-order walk (``expr._tape``).
 Slots ``0..n-1`` hold the arguments, one per variable in the order of
 ``variable_sequence``; each later slot holds one ``(symbol, a, b)``
 operation on earlier slots, in post-order, where ``b < 0`` marks a
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from math import inf, nan, sqrt
 from typing import Callable, Mapping
 
-from .expr import Expr, Unary, Var, _postorder, _variable_sequence, variable_sequence
+from .expr import Expr, _tape, variable_sequence
 from .interval import (
     _KERNELS,
     _NINF,
@@ -217,38 +219,6 @@ def mode_select(base: Interpretation, mode: str) -> Interpretation:
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'relational' or 'canonical'")
     return Interpretation(base.real_ops, {**base.interval_ops, **overrides}, mode)
-
-
-def _tape(e: Expr) -> "tuple[int, tuple[tuple[str, int, int], ...]]":
-    """Argument count and operations of ``e``'s tape; cached on the node.
-
-    One walk of the tree gives the post-order list that both the variable
-    sequence (when ``e`` has none cached yet) and the operations are read
-    from.
-    """
-    tape = e.__dict__.get("_tape")
-    if tape is None:
-        order = _postorder(e)
-        names = _variable_sequence(e, order)
-        slot: dict = {name: k for k, name in enumerate(names)}  # name or op key -> slot
-        ops: list = []
-        stack: list[int] = []  # slot of each finished subterm
-        for node in order:
-            if isinstance(node, Var):
-                stack.append(slot[node.name])
-                continue
-            if isinstance(node, Unary):
-                key = (node.op, stack.pop(), -1)
-            else:
-                b = stack.pop()
-                key = (node.op, stack.pop(), b)
-            k = slot.get(key)
-            if k is None:
-                k = slot[key] = len(names) + len(ops)
-                ops.append(key)
-            stack.append(k)
-        tape = e.__dict__["_tape"] = (len(names), tuple(ops))
-    return tape
 
 
 def _bind(e: Expr, lookup: Callable) -> "tuple[int, tuple]":

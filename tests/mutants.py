@@ -273,8 +273,8 @@ MUTANTS = [
     Mutant(
         "token pattern without the end-of-input alternative",
         "expr.py",
-        '    r"|(?P<bad>\\S)"\n    r"|\\Z)"',
-        '    r"|(?P<bad>\\S))"',
+        '|\\S|\\Z)", re.ASCII)',
+        '|\\S)|\\Z", re.ASCII)',
         tests=(
             "tests/test_expr.py::TestParseErrors::test_long_whitespace_in_linear_time",
         ),
@@ -282,8 +282,8 @@ MUTANTS = [
     Mutant(
         "token pattern skips whitespace outside ASCII",
         "expr.py",
-        '    r"|\\Z)",\n    re.ASCII,\n)',
-        '    r"|\\Z)",\n)',
+        '|\\S|\\Z)", re.ASCII)',
+        '|\\S|\\Z)")',
         tests=(
             "tests/test_expr.py::TestParseErrors::test_whitespace_outside_ascii_rejected",
             "tests/test_cli.py::TestArgumentErrors::test_whitespace_outside_ascii_exit_two",
@@ -299,32 +299,69 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "token position includes the whitespace before it",
+        "token position looked up one token late",
         "expr.py",
-        "tokens.append((kind, m.group(kind), m.start(kind)))",
-        "tokens.append((kind, m.group(kind), m.start()))",
+        "islice(_TOKEN.finditer(source), index, None)",
+        "islice(_TOKEN.finditer(source), index + 1, None)",
         tests=(
             "tests/test_expr.py::TestParseErrors::test_literal_past_the_digit_limit",
             "tests/test_expr.py::TestAgainstReference::test_tokens_match",
         ),
     ),
     Mutant(
-        "error position includes the whitespace before it",
+        "error position counts the whitespace before the token",
         "expr.py",
-        'raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))',
-        'raise ParseError(f"unexpected character {m.group(kind)!r}", m.start())',
+        "index, None)).start(1)",
+        "index, None)).start()",
         tests=(
             "tests/test_expr.py::TestParseErrors::test_unknown_character_with_position",
+            "tests/test_expr.py::TestAgainstReference::test_tokens_match",
+        ),
+    ),
+    Mutant(
+        "bad characters not checked before parsing",
+        "expr.py",
+        "    if bad:\n"
+        "        i = next(k for k, t in enumerate(texts) if t in bad)\n"
+        '        raise ParseError(f"unexpected character {texts[i]!r}", _position(source, i))\n',
+        "",
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_first_bad_character_wins",
+        ),
+    ),
+    Mutant(
+        "a later bad character wins",
+        "expr.py",
+        "i = next(k for k, t in enumerate(texts) if t in bad)",
+        "i = max(k for k, t in enumerate(texts) if t in bad)",
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_first_bad_character_wins",
+        ),
+    ),
+    Mutant(
+        "the first bad character found by one list search per bad character",
+        "expr.py",
+        "i = next(k for k, t in enumerate(texts) if t in bad)",
+        "i = min(map(texts.index, bad))",
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_many_bad_characters_in_linear_time",
+        ),
+    ),
+    Mutant(
+        "a lone . read as a number",
+        "expr.py",
+        '_GOOD = _IDENT_START | frozenset("0123456789+-*/()")',
+        '_GOOD = _IDENT_START | frozenset("0123456789.+-*/()")',
+        tests=(
+            "tests/test_expr.py::TestParseErrors::test_first_bad_character_wins",
+            "tests/test_expr.py::TestAgainstReference::test_tokens_match",
         ),
     ),
     Mutant(
         "one leaf per occurrence",
         "expr.py",
-        "                leaf = leaves.get(text)\n"
-        "                if leaf is None:\n"
-        "                    leaf = leaves[text] = Var(text)",
-        "                leaf = Var(text)\n"
-        "                leaves.setdefault(text, leaf)",
+        "leaf = leaves.get(text)  #",
+        "leaf = leaves.get(text) and (Var(text), leaves[text][1])  #",
         tests=(
             "tests/test_expr.py::TestSharedLeaves::test_one_leaf_per_name",
         ),
@@ -340,7 +377,7 @@ MUTANTS = [
     ),
     Mutant(
         "the tape numbers variables in sorted order",
-        "semantics.py",
+        "expr.py",
         "names = _variable_sequence(e, order)",
         "names = tuple(sorted(_variable_sequence(e, order)))",
         tests=(
@@ -351,10 +388,40 @@ MUTANTS = [
     Mutant(
         "fresh names dodge only identifiers before the first literal",
         "expr.py",
-        'used = {t for k, t, _ in tokens if k == "ident"}',
-        'used = {t for k, t, _ in tokens[:i] if k == "ident"}',
+        'while f"_c{fresh}" in distinct:',
+        'while f"_c{fresh}" in set(texts[:i]):',
         tests=(
             "tests/test_expr.py::TestConstants::test_fresh_names_dodge_collisions",
+        ),
+    ),
+    Mutant(
+        "interning skips the common-subterm check",
+        "expr.py",
+        "k = keys.get(key)",
+        "k = None",
+        tests=(
+            "tests/test_semantics.py::TestTape::test_repeated_subterm_evaluated_once",
+            "tests/test_semantics.py::TestTape::test_one_walk_matches_two",
+        ),
+    ),
+    Mutant(
+        "provisional slots made absolute one off",
+        "expr.py",
+        "a if a >= 0 else n - 2 - a",
+        "a if a >= 0 else n - 1 - a",
+        tests=(
+            "tests/test_semantics.py::TestTape::test_repeated_subterm_evaluated_once",
+            "tests/test_semantics.py::TestTape::test_one_walk_matches_two",
+            "tests/test_semantics.py::TestTape::test_matches_closure_routing",
+        ),
+    ),
+    Mutant(
+        "a node __init__ skips a field",
+        "expr.py",
+        '        _set(self, "left", left)\n        _set(self, "right", right)\n',
+        '        _set(self, "left", left)\n',
+        tests=(
+            "tests/test_expr.py::TestNodeProtocol::test_dataclass_protocol",
         ),
     ),
     # rounding and interval kernels

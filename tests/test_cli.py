@@ -187,7 +187,13 @@ class TestRefine:
         code, _, err = run(capsys, "refine", "x + y", "--var", "x=[0,1]",
                            "--var", "y=[0,1]", "--at", "0.5")
         assert code == 2
-        assert "error:" in err
+        assert err == "error: --at needs 2 value(s) for x, y, got 1\n"
+
+    def test_at_count_mismatch_without_variables(self, capsys):
+        # an expression without variables once printed "... value(s) for , got 1"
+        assert run(capsys, "refine", "1", "--at", "2", "--steps", "1") == (
+            2, "", "error: --at needs 0 value(s), got 1\n"
+        )
 
 
 class TestEnclose:

@@ -54,6 +54,7 @@ def test_parses_prints_and_queries(shape):
     source, printed, flags, *_ = shape
     e, binds = parse(source)
     assert binds == []
+    assert "_tape" in e.__dict__  # parse builds the tape as it reduces
     assert to_source(e) == printed
     assert to_source(parse(printed)[0]) == printed
     assert depth(e) >= N

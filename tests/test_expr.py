@@ -125,6 +125,29 @@ class TestParseErrors:
             parse("x $ y")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize(
+        "source, char, position",
+        [("x + + $", "$", 6), ("x ) \xe9 $", "\xe9", 4), ("x ) $ \xe9", "$", 4),
+         ("x + .", ".", 4), ("x.y", ".", 1), ("(1. + .)", ".", 6)],
+    )
+    def test_first_bad_character_wins(self, source, char, position):
+        # the first bad character in the source is reported, even after a syntax error;
+        # a "." that starts no number is one
+        with pytest.raises(ParseError) as exc:
+            parse(source)
+        assert str(exc.value) == f"unexpected character {char!r} (at position {position})"
+
+    def test_many_bad_characters_in_linear_time(self):
+        # the first bad character is found in one scan, not by one list search per
+        # distinct bad character: 20,000 distinct ones once took seconds
+        for n in (10**3, 10**4, 2 * 10**4):
+            source = "x + " * n + "".join(map(chr, range(0x4E00, 0x4E00 + n)))
+            start = time.perf_counter()
+            with pytest.raises(ParseError) as exc:
+                parse(source)
+            assert time.perf_counter() - start < 1.0, n
+            assert str(exc.value) == f"unexpected character '\u4e00' (at position {4 * n})"
+
     def test_unknown_function_symbol(self):
         with pytest.raises(ParseError) as exc:
             parse("foo(x)")
@@ -237,9 +260,10 @@ def _exprs():
 
 
 # The tokenizer and parser as they were before each token became one regex match
-# (whitespace was a token kind of its own) and before leaves were shared: the reference
-# the single-match tokenizer and the parser are tested against.  Both take ASCII
-# whitespace only, so other whitespace is a bad character on each side.
+# (whitespace was a token kind of its own), before leaves were shared and before the
+# parser built the tape: the reference the findall tokenizer and the parser are tested
+# against.  Both take ASCII whitespace only, so other whitespace is a bad character on
+# each side.
 _REFERENCE_TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
@@ -262,6 +286,20 @@ def _reference_tokenize(source):
     return tokens
 
 
+def _reference_prefix(operands, operators):
+    while operators and operators[-1] in ("neg", "abs", "sqrt", "sqrtr"):
+        operands.append(Unary(operators.pop(), operands.pop()))
+
+
+_REFERENCE_PREC = {"+": 10, "-": 10, "*": 20, "/": 20}
+
+
+def _reference_infix(operands, operators, prec):
+    while operators and _REFERENCE_PREC.get(operators[-1], -1) >= prec:
+        right = operands.pop()
+        operands.append(Binary(operators.pop(), operands.pop(), right))
+
+
 def _reference_parse(source):
     tokens = _reference_tokenize(source)
     used = {t for k, t, _ in tokens if k == "ident"}
@@ -276,7 +314,7 @@ def _reference_parse(source):
                 operators.append("neg" if text == "-" else "(")
                 continue
             if kind == "ident":
-                if text in expr.UNARY_WORDS:
+                if text in ("abs", "sqrt", "sqrtr"):
                     operators.append(text)
                     continue
                 if i < len(tokens) and tokens[i][:2] == ("op", "("):
@@ -298,15 +336,15 @@ def _reference_parse(source):
                 raise ParseError("unexpected end of input", at)
             else:
                 raise ParseError(f"unexpected {text!r}", at)
-            expr._apply_prefix(operands, operators)
+            _reference_prefix(operands, operators)
             want_operand = False
             continue
-        if kind == "op" and text in expr._PREC:
-            expr._apply_infix(operands, operators, expr._PREC[text])
+        if kind == "op" and text in _REFERENCE_PREC:
+            _reference_infix(operands, operators, _REFERENCE_PREC[text])
             operators.append(text)
             want_operand = True
             continue
-        expr._apply_infix(operands, operators, 0)
+        _reference_infix(operands, operators, 0)
         if not operators:
             if kind is None:
                 return operands[0], bindings
@@ -314,7 +352,7 @@ def _reference_parse(source):
         if not (kind == "op" and text == ")"):
             raise ParseError("expected ')'", at)
         operators.pop()
-        expr._apply_prefix(operands, operators)
+        _reference_prefix(operands, operators)
 
 
 def _outcome(f, source):
@@ -332,12 +370,28 @@ _WORDS = ["x", "y", "_c0", "_c1", "abs", "sqrt", "sqrtr", "foo", "2", "0.5", "1e
           "(", ")", "-", "+", "*", "/", " ", "\t", "\u3000", "$"]
 
 
+def _findall_tokens(source):
+    """``(kind, text, position)`` per token from the findall tokenizer, with the kind
+    read off the first character as ``parse`` reads it and the position found as an
+    error finds it, ended by the token ``""`` at the end of input."""
+    texts, distinct = expr._tokenize(source)
+    assert distinct == set(texts)
+    end = texts.index("")
+    assert set(texts[end:]) == {""}  # findall may match the end of input twice
+    tokens = []
+    for k, text in enumerate(texts[: end + 1]):
+        first = text[:1]
+        kind = "ident" if first in expr._IDENT_START else "num" if first in expr._NUMBER_START else "op"
+        tokens.append((kind if text else None, text, expr._position(source, k)))
+    return tokens
+
+
 class TestAgainstReference:
     @given(st.text(alphabet=_CHARS, max_size=40))
     def test_tokens_match(self, source):
-        got = _outcome(expr._tokenize, source)
+        got = _outcome(_findall_tokens, source)
         want = _outcome(_reference_tokenize, source)
-        if want[0] == "ok":  # the single-match tokenizer appends an end sentinel
+        if want[0] == "ok":  # the findall tokenizer ends with the end of input
             want = ("ok", want[1] + [(None, "", len(source))])
         assert got == want
 
@@ -453,6 +507,28 @@ class TestNodeProtocol:
         assert (a != b) == (_mirror(a) != _mirror(b))
         copy = parse(to_source(a))[0]
         assert copy == a and hash(copy) == hash(a)
+
+    @pytest.mark.parametrize(
+        "node, names",
+        [
+            (Var("x"), ("name",)),
+            (Unary("neg", Var("x")), ("op", "child")),
+            (Binary("+", Var("x"), Var("y")), ("op", "left", "right")),
+        ],
+    )
+    def test_dataclass_protocol(self, node, names):
+        # the hand-written __init__ keeps what the generated one gave
+        assert tuple(f.name for f in dataclasses.fields(node)) == names == type(node).__match_args__
+        assert type(node)(*(getattr(node, n) for n in names)) == node
+        assert type(node)(**{n: getattr(node, n) for n in names}) == node
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, getattr(node, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        copy = dataclasses.replace(node)
+        assert copy is not node and copy == node and repr(copy) == repr(node)
+        assert vars(copy) == vars(node) and tuple(vars(node)) == names
 
     def test_foreign_operands(self):
         assert Var("x") != "x"

@@ -549,4 +549,4 @@ class TestNumberGrammar:
             _exact_value(text)
 
     def test_expression_numbers_are_the_grammar_decimal(self):
-        assert f"(?P<num>{_DECIMAL})" in expr._TOKEN.pattern
+        assert expr._TOKEN.pattern.startswith(rf"\s*({_DECIMAL}|")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relival.expr import Binary, Unary, Var, _postorder, parse, to_source, variable_sequence
+from relival.expr import Binary, Unary, Var, _postorder, _tape, parse, to_source, variable_sequence
 from relival.interval import EMPTY, REALS, Box, Interval, add, member, subset
 from relival.rounding import MAX_FLOAT
 from relival.semantics import (
@@ -18,7 +18,6 @@ from relival.semantics import (
     RealResult,
     _compile_columns,
     _compile_pairs,
-    _tape,
     build_distribution,
     compile_interval,
     compile_real,
@@ -293,8 +292,8 @@ def _counting(table, calls):
 
 def _two_walk_tape(e):
     """Variable sequence and ``(n, ops)`` tape of ``e``, built over two walks of the
-    tree, one for each (and no cache): the reference the one-walk ``_tape`` is
-    tested against."""
+    tree, one for each (and no cache): the reference the one-walk ``_tape`` and the
+    tape ``parse`` builds are tested against."""
     names = tuple(dict.fromkeys(n.name for n in _postorder(e) if isinstance(n, Var)))
     slot = {name: k for k, name in enumerate(names)}
     ops, stack = [], []
@@ -323,12 +322,15 @@ class TestTape:
         e.__dict__.pop("_varseq", None)  # _tape fills an empty cache
         assert _tape(e) == tape
         assert e.__dict__["_varseq"] == names == variable_sequence(e)
-        # parsed trees share their leaves, and parse caches the variable sequence
+        # parsed trees share their leaves, and parse caches the variable sequence and
+        # the tape; a hand-built tree gets the tape of its parsed source
         for source in (to_source(e), f"2 * ({to_source(e)}) - 0.5"):
             parsed, _ = parse(source)
+            assert "_tape" in parsed.__dict__ and "_varseq" in parsed.__dict__
             names, tape = _two_walk_tape(parsed)
             assert _tape(parsed) == tape
             assert variable_sequence(parsed) == names
+        assert _tape(parse(to_source(e))[0]) == _tape(e)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["default", "canonical"]))
     def test_matches_closure_routing(self, seed, mode):
