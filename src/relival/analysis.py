@@ -12,8 +12,10 @@ Two complementary ways of tightening an interval evaluation:
 Both rest on inclusion monotonicity of the interval operations: a
 smaller argument box always yields a result inside the larger box's
 result, so deepening either process cannot lose the true value.
-Subdivision keeps its pieces as tuples of bare ``(lo, hi)`` pairs, run on
-the box tape; only its report holds an ``Interval``.
+Subdivision keeps each piece as the slot list of the box tape, bare
+``(lo, hi)`` pairs, and evaluates each box it creates once: the root runs
+the whole tape, and a child re-runs only the operations that read its
+split coordinate.  Only its report holds an ``Interval``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ from dataclasses import dataclass
 from .expr import Expr, variable_sequence
 from .interval import Box, Interval, _midpoint, hull_union, member, midpoint, subset, width
 from .rounding import sub_up
-from .semantics import Interpretation, _check_arity, _compile_pairs, compile_interval, compile_real
+from .semantics import (
+    Interpretation,
+    _check_arity,
+    _compile_subdivision,
+    _run,
+    compile_interval,
+    compile_real,
+)
 
 __all__ = [
     "RefinementSequence",
@@ -192,6 +201,13 @@ def subdivide_enclosure(
     leaves meet the tolerance or the ``max_boxes`` budget is reached.
     The reported widths never increase, and the final enclosure is never
     wider than evaluating the original box directly.
+
+    Every created box is evaluated once.  A box is kept as its tape slot
+    list (its coordinates, then one pair per operation); a child copies
+    its parent's list, takes its half of the split coordinate and re-runs,
+    in tape order, only the operations that read that coordinate.  Every
+    other slot already holds what a full run would compute, so the
+    report is the same as running the whole tape for every box.
     """
     _check_arity(e, box.arity)
     if box.is_empty:
@@ -202,27 +218,32 @@ def subdivide_enclosure(
         raise ValueError("tol must be positive")
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
-    run = _compile_pairs(e, interp)
-    frontier = [tuple((d.lo, d.hi) for d in box.dims)]
+    ops, reads = _compile_subdivision(e, interp)
+    n = box.arity
+    # a box is its slot list: its n coordinate pairs, then one pair per operation
+    root = [(d.lo, d.hi) for d in box.dims]
+    _run(ops, root)
+    frontier = [root]
     # hulls as running bounds; (inf, -inf) is the empty hull, and an empty leaf stores it too
     settled_lo, settled_hi = math.inf, -math.inf
     all_within_tol = True
     created = 1  # every created box is evaluated exactly once
     widths_trace: list[float] = []
     while frontier:
-        level = [(b, run(b)) for b in frontier]
         lo, hi = settled_lo, settled_hi
-        for _, (rlo, rhi) in level:
+        for b in frontier:
+            rlo, rhi = b[-1]
             if rlo < lo:
                 lo = rlo
             if rhi > hi:
                 hi = rhi
         # lo == hi is a point, and a kernel may have left it as -0.0
         widths_trace.append(sub_up(hi, lo) if lo < hi else 0.0)
-        frontier = []
-        for b, (rlo, rhi) in level:
+        level, frontier = frontier, []
+        for b in level:
             i, w = 0, -1.0
-            for k, (dlo, dhi) in enumerate(b):
+            for k in range(n):
+                dlo, dhi = b[k]
                 dw = sub_up(dhi, dlo)
                 if dw > w:
                     i, w = k, dw
@@ -230,11 +251,17 @@ def subdivide_enclosure(
                 dlo, dhi = b[i]
                 m = _midpoint(dlo, dhi)
                 if m != dlo and m != dhi and created + 2 <= max_boxes:
-                    head, tail = b[:i], b[i + 1 :]
-                    frontier += (head + ((dlo, m),) + tail, head + ((m, dhi),) + tail)
+                    rerun = reads[i]
+                    for half in ((dlo, m), (m, dhi)):
+                        c = b.copy()
+                        c[i] = half
+                        for j, f, x, y in rerun:
+                            c[j] = f(c[x]) if y < 0 else f(c[x], c[y])
+                        frontier.append(c)
                     created += 2
                     continue
                 all_within_tol = False
+            rlo, rhi = b[-1]
             if rlo < settled_lo:
                 settled_lo = rlo
             if rhi > settled_hi:

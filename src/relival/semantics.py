@@ -18,11 +18,13 @@ than pretending the two sides are correlated.
 
 A box tape's slots hold bare ``(lo, hi)`` float pairs (empty:
 ``(inf, -inf)``) and its public interval operations run as their
-``interval`` kernels.  One pair compiler binds that tape and serves both
-box evaluation and subdivision: ``compile_interval`` unboxes the leaves
-once and boxes the result once, by the constructor, which normalizes
-``-0.0`` and emptiness; subdivision keeps its leaves as pairs and runs
-the pair tape on them directly, so a result may carry a ``-0.0`` bound.
+``interval`` kernels.  ``compile_interval`` runs the whole pair tape: it
+unboxes the leaves once and boxes the result once, by the constructor,
+which normalizes ``-0.0`` and emptiness.  Subdivision keeps every box as
+its slot list of pairs, so a result may carry a ``-0.0`` bound;
+``_compile_subdivision`` binds the same tape and also lists, per
+coordinate, the operations that read it directly or through an earlier
+operation, which are all a split on that coordinate has to re-run.
 
 Point evaluation is strict about partiality: an undefined subterm makes
 the whole result undefined, and a defined result is always a finite
@@ -178,6 +180,8 @@ class Interpretation:
 
     An interval operation that is not public in ``interval`` (a user's own)
     runs through an adapter: one box per argument and result on every call.
+    Subdivision calls it for the first box and then only for the boxes
+    whose split changed its operands.
     When sampling, a real operation returning NaN counts as undefined, as
     ``None`` does, and an operation is called wherever its own arguments
     are defined, even at points where another subterm is not.
@@ -307,7 +311,10 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     interpretation.  Points are drawn and evaluated in chunks of 1024, one
     pass of the column runner per chunk, so memory stays bounded for any
     sample count; the points are the ones ``Random(seed).uniform`` draws
-    coordinate by coordinate, point after point.  At least one sample is
+    coordinate by coordinate, point after point, except on a coordinate
+    wider than ``MAX_FLOAT``, where ``uniform`` would overflow to an
+    infinity: it gets a finite point inside it from the same ``random()``
+    value.  At least one sample is
     needed: zero would check nothing and still report no violations.
     """
     if samples < 1:
@@ -321,13 +328,19 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     iv = compile_interval(e, interp)(dims)
     lo, hi = iv.lo, iv.hi  # no value lies in the empty result (inf, -inf)
     run = _compile_columns(e, interp)
-    # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once
-    spans = [(d.lo, d.hi - d.lo) for d in dims]
+    # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once.  A width
+    # past MAX_FLOAT overflows, and then lo < 0 < hi: lo * (1 - r) + hi * r adds a term in
+    # [lo, 0] to one in [0, hi], so the point is finite and inside the coordinate
+    spans = [(d.lo, d.hi - d.lo, d.hi) for d in dims]
     n = len(spans)
     rand = random.Random(seed).random
     violations = 0
     for start in range(0, samples, _CHUNK):
-        draws = [x0 + w * rand() for _ in range(min(_CHUNK, samples - start)) for x0, w in spans]
+        draws = [
+            x0 + w * rand() if w < inf else x0 * (1.0 - (r := rand())) + x1 * r
+            for _ in range(min(_CHUNK, samples - start))
+            for x0, w, x1 in spans
+        ]
         values = run([draws[k::n] for k in range(n)])
         # the finiteness test skips undefined values (NaN) and infinite samples
         violations += sum(1 for v in values if _NINF < v < inf and not lo <= v <= hi)
@@ -351,6 +364,28 @@ def _compile_pairs(e: Expr, interp: Interpretation) -> Callable:
     pairs in, ordered like ``variable_sequence(e)``, one pair out."""
     n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
     return lambda pairs: _run(ops, list(pairs[:n]))
+
+
+def _compile_subdivision(e: Expr, interp: Interpretation) -> "tuple[tuple, tuple]":
+    """Compile ``e`` once for subdivision: the bound pair tape's operations, and
+    for each coordinate the operations that read it, directly or through an
+    earlier operation, as ``(slot, f, a, b)`` in tape order.
+
+    After a split on coordinate ``k`` only ``k``'s operations see new operands;
+    every other slot keeps the parent box's pair.
+    """
+    n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
+    masks = [1 << k for k in range(n)]  # per slot, the coordinates it reads
+    reads: "list[list]" = [[] for _ in range(n)]
+    for j, (f, a, b) in enumerate(ops, n):
+        m = masks[a] if b < 0 else masks[a] | masks[b]
+        masks.append(m)
+        op = (j, f, a, b)  # one tuple, shared by every coordinate's list
+        while m:
+            low = m & -m
+            reads[low.bit_length() - 1].append(op)
+            m ^= low
+    return ops, tuple(map(tuple, reads))
 
 
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:

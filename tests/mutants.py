@@ -260,6 +260,46 @@ MUTANTS = [
             "tests/test_analysis.py::TestSubdivide::test_interval_constructions_do_not_grow_with_the_budget",
         ),
     ),
+    # subdivision re-runs only the operations that read the split coordinate
+    Mutant(
+        "a coordinate's operations are only those reading it directly",
+        "semantics.py",
+        "        masks.append(m)\n",
+        "        masks.append(0)\n",
+        tests=(
+            "tests/test_cli.py::TestEnclose::test_four_variable_example",
+            "tests/test_analysis.py::TestSubdivideDifferential::test_matches_the_previous_loop",
+        ),
+    ),
+    Mutant(
+        "a child keeps its parent's pair in the split coordinate's slot",
+        "analysis.py",
+        "                        c[i] = half\n",
+        "",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_ties_split_the_lowest_index",
+            "tests/test_analysis.py::TestSubdivideDifferential::test_matches_the_previous_loop",
+        ),
+    ),
+    Mutant(
+        "a child re-runs its operations in reverse order",
+        "analysis.py",
+        "for j, f, x, y in rerun:",
+        "for j, f, x, y in reversed(rerun):",
+        tests=(
+            "tests/test_cli.py::TestEnclose::test_four_variable_example",
+            "tests/test_analysis.py::TestSubdivideDifferential::test_matches_the_previous_loop",
+        ),
+    ),
+    Mutant(
+        "a child re-runs every operation",
+        "semantics.py",
+        "m = masks[a] if b < 0 else masks[a] | masks[b]",
+        "m = (1 << n) - 1",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_a_child_reruns_only_what_reads_its_split_coordinate",
+        ),
+    ),
     Mutant(
         "_midpoint without its clamp",
         "interval.py",

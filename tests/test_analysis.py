@@ -364,6 +364,23 @@ class TestSubdivide:
         assert repr(rep.widths) == "(0.0,)"
         assert repr(rep.enclosure) == "[0,0]"
 
+    @pytest.mark.parametrize("max_boxes", [1, 3, 15, 255, 4095])
+    def test_a_child_reruns_only_what_reads_its_split_coordinate(self, max_boxes):
+        # z is a point, so only x and y split and sqrt(z) keeps the root's operand in every box
+        calls = []
+
+        def counting_sqrt(iv):
+            calls.append(iv)
+            return DEFAULT.interval_ops["sqrt"](iv)
+
+        counting = Interpretation(DEFAULT.real_ops, {**DEFAULT.interval_ops, "sqrt": counting_sqrt}, "counting")
+        e = ast("x*y + sqrt(z)")
+        box = Box((Interval(0, 1), Interval(1, 3), Interval(4, 4)))
+        rep = subdivide_enclosure(e, counting, box, 1e-3, max_boxes)
+        assert rep.iterations == max_boxes
+        assert calls == [Interval(4, 4)]
+        assert repr(rep) == repr(subdivide_enclosure(e, DEFAULT, box, 1e-3, max_boxes))
+
     def test_report_shape(self):
         # the hull over identity pieces never shrinks, but every leaf does
         rep = subdivide_enclosure(ast("x"), DEFAULT, box1(0, 1), 0.6, 8)
@@ -455,9 +472,11 @@ class TestSubdivideDifferential:
         | st.floats(1e-6, 10.0),
         max_boxes=st.integers(1, 64),
         mode=st.sampled_from([None, "relational", "canonical"]),
+        # deep trees give long dependence chains and repeated subterms on the tape
+        max_depth=st.integers(1, 6),
     )
-    def test_matches_the_previous_loop(self, seed, continuous, reshape, tol, max_boxes, mode):
-        e, box = random_case(random.Random(seed), max_depth=4, continuous=continuous)
+    def test_matches_the_previous_loop(self, seed, continuous, reshape, tol, max_boxes, mode, max_depth):
+        e, box = random_case(random.Random(seed), max_depth=max_depth, continuous=continuous)
         dims = list(box.dims)
         for i, name in enumerate(reshape[: len(dims)]):
             dims[i] = _RESHAPE[name](dims[i], dims[0])

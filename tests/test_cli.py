@@ -275,6 +275,12 @@ class TestCheck:
         assert payload["widths"] is None
         assert code == 0
 
+    def test_coordinate_wider_than_max_float(self, capsys):
+        # x's width overflows, yet every sample is a finite point of x, inside the sound result
+        code, out, err = run(capsys, "check", "1 / abs(x)", "--var", "x=[-1e308,1e308]")
+        assert (code, err) == (0, "")
+        assert out == "result: [9.9999999999999991e-309,inf]\nviolations: 0\n"
+
     def test_unbounded_variables_exit_five(self, capsys):
         code, _, err = run(capsys, "check", "x", "--var", "x=[-inf,0]")
         assert code == 5

@@ -367,6 +367,38 @@ class TestSampleInclusion:
         box = Box((Interval(0, 1), Interval(0, 1)))
         assert sample_inclusion(ast("x + y"), infinite, box, samples=300, seed=4) == 0
 
+    @pytest.mark.parametrize(
+        "dims",
+        [
+            ((-MAX_FLOAT, MAX_FLOAT), (0.0, 1.0)),
+            ((0.25, 0.5), (-MAX_FLOAT, MAX_FLOAT)),
+            ((-1e308, 1e308), (-MAX_FLOAT, 1e308)),
+            ((-MAX_FLOAT, MAX_FLOAT), (-MAX_FLOAT, MAX_FLOAT)),
+        ],
+    )
+    def test_wide_coordinates_draw_points_inside(self, dims):
+        # hi - lo overflows past MAX_FLOAT; uniform(lo, hi) would then draw only infinities
+        seen = []
+
+        def recording(a, b):
+            seen.append((a, b))
+            return a
+
+        real_ops = {**DEFAULT.real_ops, "+": recording}
+        interp = dataclasses.replace(DEFAULT, real_ops=real_ops, name="recording")
+        box = Box(tuple(Interval(lo, hi) for lo, hi in dims))
+        assert sample_inclusion(ast("x + y"), interp, box, samples=1500, seed=9) == 0
+        assert len(seen) == 1500
+        u = random.Random(9).uniform
+        drawn = [[u(lo, hi) for lo, hi in dims] for _ in range(1500)]  # one random() each
+        for k, (lo, hi) in enumerate(dims):
+            column = [p[k] for p in seen]
+            if hi - lo < INF:  # an ordinary coordinate keeps the points uniform draws
+                assert column == [p[k] for p in drawn]
+            else:
+                assert all(lo <= v <= hi and math.isfinite(v) for v in column)
+                assert min(column) < lo / 2 and max(column) > hi / 2  # spread over the coordinate
+
 
 def _per_point_inclusion(e, interp, box, samples, seed):
     """``sample_inclusion``'s count as one ``compile_real`` call per point,
