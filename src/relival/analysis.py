@@ -15,7 +15,10 @@ result, so deepening either process cannot lose the true value.
 Subdivision keeps each piece as the slot list of the box tape, bare
 ``(lo, hi)`` pairs, and evaluates each box it creates once: the root runs
 the whole tape, and a child re-runs only the operations that read its
-split coordinate.  Only its report holds an ``Interval``.
+split coordinate, directly or through an earlier operation.  One pass
+over the tape gives each slot the bitmask of the coordinates it reads; a
+coordinate's re-run list is filtered from those masks on its first split
+and then kept.  Only the report holds an ``Interval``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .rounding import sub_up
 from .semantics import (
     Interpretation,
     _check_arity,
-    _compile_subdivision,
+    _pair_tape,
     _run,
     compile_interval,
     compile_real,
@@ -203,11 +206,12 @@ def subdivide_enclosure(
     wider than evaluating the original box directly.
 
     Every created box is evaluated once.  A box is kept as its tape slot
-    list (its coordinates, then one pair per operation); a child copies
-    its parent's list, takes its half of the split coordinate and re-runs,
-    in tape order, only the operations that read that coordinate.  Every
-    other slot already holds what a full run would compute, so the
-    report is the same as running the whole tape for every box.
+    list (its coordinates, then one pair per operation); the first child
+    copies its parent's list and the second takes it over.  Each child
+    takes its half of the split coordinate and re-runs, in tape order,
+    only the operations that read that coordinate.  Every other slot
+    already holds what a full run would compute, so the report is the
+    same as running the whole tape for every box.
     """
     _check_arity(e, box.arity)
     if box.is_empty:
@@ -218,8 +222,12 @@ def subdivide_enclosure(
         raise ValueError("tol must be positive")
     if max_boxes < 1:
         raise ValueError("max_boxes must be at least 1")
-    ops, reads = _compile_subdivision(e, interp)
-    n = box.arity
+    n, ops = _pair_tape(e, interp)
+    # per slot, the coordinates it reads, directly or through an earlier slot, as a bitmask
+    masks = [1 << k for k in range(n)]
+    for f, a, b in ops:
+        masks.append(masks[a] if b < 0 else masks[a] | masks[b])
+    reads: "dict[int, list]" = {}  # a coordinate's re-run list, from its first split on
     # a box is its slot list: its n coordinate pairs, then one pair per operation
     root = [(d.lo, d.hi) for d in box.dims]
     _run(ops, root)
@@ -251,9 +259,12 @@ def subdivide_enclosure(
                 dlo, dhi = b[i]
                 m = _midpoint(dlo, dhi)
                 if m != dlo and m != dhi and created + 2 <= max_boxes:
-                    rerun = reads[i]
-                    for half in ((dlo, m), (m, dhi)):
-                        c = b.copy()
+                    rerun = reads.get(i)
+                    if rerun is None:
+                        rerun = reads[i] = [
+                            (j, *op) for j, op in enumerate(ops, n) if masks[j] >> i & 1
+                        ]
+                    for c, half in ((b.copy(), (dlo, m)), (b, (m, dhi))):
                         c[i] = half
                         for j, f, x, y in rerun:
                             c[j] = f(c[x]) if y < 0 else f(c[x], c[y])

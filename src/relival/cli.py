@@ -97,7 +97,8 @@ def _assemble(expr_text: str, var_flags):
     missing = [n for n in user_names if n not in bindings]
     if missing:
         raise _CliError(3, f"missing binding(s) for: {', '.join(missing)}")
-    extra = [n for n in bindings if n not in user_names]
+    known = set(user_names)
+    extra = [n for n in bindings if n not in known]
     if extra:
         raise _CliError(3, f"binding(s) for unknown variable(s): {', '.join(extra)}")
     dims = []

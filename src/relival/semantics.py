@@ -20,11 +20,9 @@ A box tape's slots hold bare ``(lo, hi)`` float pairs (empty:
 ``(inf, -inf)``) and its public interval operations run as their
 ``interval`` kernels.  ``compile_interval`` runs the whole pair tape: it
 unboxes the leaves once and boxes the result once, by the constructor,
-which normalizes ``-0.0`` and emptiness.  Subdivision keeps every box as
-its slot list of pairs, so a result may carry a ``-0.0`` bound;
-``_compile_subdivision`` binds the same tape and also lists, per
-coordinate, the operations that read it directly or through an earlier
-operation, which are all a split on that coordinate has to re-run.
+which normalizes ``-0.0`` and emptiness.  Subdivision binds the same
+tape (``_pair_tape``) and keeps every box as its slot list of pairs, so a
+result may carry a ``-0.0`` bound.
 
 Point evaluation is strict about partiality: an undefined subterm makes
 the whole result undefined, and a defined result is always a finite
@@ -359,39 +357,17 @@ def _kernel(f: Callable) -> Callable:
         return boxed
 
 
-def _compile_pairs(e: Expr, interp: Interpretation) -> Callable:
-    """Compile ``e`` once into a bound evaluator: a sequence of ``(lo, hi)``
-    pairs in, ordered like ``variable_sequence(e)``, one pair out."""
-    n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
-    return lambda pairs: _run(ops, list(pairs[:n]))
-
-
-def _compile_subdivision(e: Expr, interp: Interpretation) -> "tuple[tuple, tuple]":
-    """Compile ``e`` once for subdivision: the bound pair tape's operations, and
-    for each coordinate the operations that read it, directly or through an
-    earlier operation, as ``(slot, f, a, b)`` in tape order.
-
-    After a split on coordinate ``k`` only ``k``'s operations see new operands;
-    every other slot keeps the parent box's pair.
-    """
-    n, ops = _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
-    masks = [1 << k for k in range(n)]  # per slot, the coordinates it reads
-    reads: "list[list]" = [[] for _ in range(n)]
-    for j, (f, a, b) in enumerate(ops, n):
-        m = masks[a] if b < 0 else masks[a] | masks[b]
-        masks.append(m)
-        op = (j, f, a, b)  # one tuple, shared by every coordinate's list
-        while m:
-            low = m & -m
-            reads[low.bit_length() - 1].append(op)
-            m ^= low
-    return ops, tuple(map(tuple, reads))
+def _pair_tape(e: Expr, interp: Interpretation) -> "tuple[int, tuple]":
+    """``e``'s tape bound to pair kernels, as ``(n, ops)``: ``_run`` takes the
+    ``n`` argument pairs, ordered like ``variable_sequence(e)``, and appends
+    one ``(lo, hi)`` pair per operation."""
+    return _bind(e, lambda sym: _kernel(interp.interval_op(sym)))
 
 
 def compile_interval(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a box evaluator (tuple of intervals in)."""
-    run = _compile_pairs(e, interp)
-    return lambda args: Interval(*run([(d.lo, d.hi) for d in args]))
+    n, ops = _pair_tape(e, interp)
+    return lambda args: Interval(*_run(ops, [(d.lo, d.hi) for d in args][:n]))
 
 
 def _check_arity(e: Expr, got: int):

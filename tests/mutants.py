@@ -263,9 +263,9 @@ MUTANTS = [
     # subdivision re-runs only the operations that read the split coordinate
     Mutant(
         "a coordinate's operations are only those reading it directly",
-        "semantics.py",
-        "        masks.append(m)\n",
-        "        masks.append(0)\n",
+        "analysis.py",
+        "masks[a] if b < 0 else masks[a] | masks[b]",
+        "(masks[a] if a < n else 0) | (masks[b] if 0 <= b < n else 0)",
         tests=(
             "tests/test_cli.py::TestEnclose::test_four_variable_example",
             "tests/test_analysis.py::TestSubdivideDifferential::test_matches_the_previous_loop",
@@ -293,11 +293,40 @@ MUTANTS = [
     ),
     Mutant(
         "a child re-runs every operation",
-        "semantics.py",
-        "m = masks[a] if b < 0 else masks[a] | masks[b]",
-        "m = (1 << n) - 1",
+        "analysis.py",
+        "masks[a] if b < 0 else masks[a] | masks[b]",
+        "(1 << n) - 1",
         tests=(
             "tests/test_analysis.py::TestSubdivide::test_a_child_reruns_only_what_reads_its_split_coordinate",
+        ),
+    ),
+    Mutant(
+        "the re-run filter tests the next coordinate's bit",
+        "analysis.py",
+        "if masks[j] >> i & 1",
+        "if masks[j] >> i & 2",
+        tests=(
+            "tests/test_cli.py::TestEnclose::test_four_variable_example",
+            "tests/test_analysis.py::TestSubdivideDifferential::test_matches_the_previous_loop",
+        ),
+    ),
+    Mutant(
+        "the first child shares its parent's list without a copy",
+        "analysis.py",
+        "(b.copy(), (dlo, m))",
+        "(b, (dlo, m))",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_ties_split_the_lowest_index",
+            "tests/test_analysis.py::TestSubdivideDifferential::test_matches_the_previous_loop",
+        ),
+    ),
+    Mutant(
+        "the second child copies its parent's list as well",
+        "analysis.py",
+        "(b, (m, dhi))",
+        "(b.copy(), (m, dhi))",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_the_second_child_takes_over_its_parents_list",
         ),
     ),
     Mutant(

@@ -17,7 +17,8 @@ from relival.semantics import (
     Interpretation,
     RealResult,
     _compile_columns,
-    _compile_pairs,
+    _pair_tape,
+    _run,
     build_distribution,
     compile_interval,
     compile_real,
@@ -419,8 +420,8 @@ class TestKernelPath:
         ],
     )
     def test_zero_quotients_by_repr(self, source, y, want):
-        run = _compile_pairs(ast(source), mode_select(DEFAULT, "canonical"))
-        assert repr(run([(-1.0, 1.0), y])) == repr(want)
+        _, ops = _pair_tape(ast(source), mode_select(DEFAULT, "canonical"))
+        assert repr(_run(ops, [(-1.0, 1.0), y])) == repr(want)
 
     def test_custom_op_is_called(self):
         @dataclasses.dataclass
