@@ -12,13 +12,17 @@ Two complementary ways of tightening an interval evaluation:
 Both rest on inclusion monotonicity of the interval operations: a
 smaller argument box always yields a result inside the larger box's
 result, so deepening either process cannot lose the true value.
-Subdivision keeps each piece as the slot list of the box tape, bare
-``(lo, hi)`` pairs, and evaluates each box it creates once: the root runs
-the whole tape, and a child re-runs only the operations that read its
-split coordinate, directly or through an earlier operation.  One pass
-over the tape gives each slot the bitmask of the coordinates it reads; a
-coordinate's re-run list is filtered from those masks on its first split
-and then kept.  Only the report holds an ``Interval``.
+Both run on bare ``(lo, hi)`` pairs and build ``Interval`` values only
+for what they return.  Refinement shrinks each coordinate's pair, checks
+on the floats that it stays inside the last one and keeps the target,
+and boxes each step once for its sequence; ``check_convergence`` runs
+the pair tape on each box and boxes only the report's enclosure.
+Subdivision keeps each piece as the slot list of the box tape and
+evaluates each box it creates once: the root runs the whole tape, and a
+child re-runs only the operations that read its split coordinate,
+directly or through an earlier operation.  One pass over the tape gives
+each slot the bitmask of the coordinates it reads; a coordinate's re-run
+list is filtered from those masks on its first split and then kept.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# variable_sequence and hull_union go unused here: the benchmark tracer patches
-# each of these names in this module's namespace, so each must stay bound
+# variable_sequence, hull_union, compile_interval, member, subset and width go unused
+# here: the benchmark tracer patches each of these names in this module's namespace,
+# so each must stay bound
 from .expr import Expr, variable_sequence
 from .interval import Box, Interval, _midpoint, hull_union, member, midpoint, subset, width
 from .rounding import sub_up
@@ -71,6 +76,14 @@ class RefinementSequence:
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "target", target)
 
+    @classmethod
+    def _prechecked(cls, boxes: tuple, target: tuple) -> "RefinementSequence":
+        # for boxes whose nesting and target the caller has checked as it built them
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "boxes", boxes)
+        object.__setattr__(seq, "target", target)
+        return seq
+
     def __len__(self) -> int:
         return len(self.boxes)
 
@@ -91,9 +104,8 @@ class EnclosureReport:
     nested: bool = True
 
 
-def _shrink_coordinate(iv: Interval, t: float) -> Interval:
-    # halve the width around t, translated back inside iv if it overhangs
-    lo, hi = iv.lo, iv.hi
+def _shrink_coordinate(lo: float, hi: float, t: float) -> "tuple[float, float]":
+    # halve the width around t, translated back inside [lo, hi] if it overhangs
     half = hi / 4 - lo / 4  # (hi - lo) / 4 overflows once the width passes MAX_FLOAT
     nl = t - half
     nh = t + half
@@ -105,12 +117,19 @@ def _shrink_coordinate(iv: Interval, t: float) -> Interval:
     elif nh > hi:
         nl = max(lo, nl - (nh - hi) if nh < math.inf else hi - 2 * half)
         nh = hi
-    # rounding safety: never lose the target or escape the old coordinate
+    # rounding safety: never lose the target.  Rounding to nearest is monotone, so
+    # nl <= t <= nh already holds, and each shift above keeps it: these never fire
     if nl > t:
         nl = t
     if nh < t:
         nh = t
-    return Interval(nl, nh)
+    return nl, nh
+
+
+def _pair_width(lo: float, hi: float) -> float:
+    # width() of Interval(lo, hi): 0.0 for the empty pair (inf, -inf) and for a point,
+    # which a kernel may have left as (0.0, -0.0), where sub_up would give -0.0
+    return sub_up(hi, lo) if lo < hi else 0.0
 
 
 def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
@@ -118,7 +137,11 @@ def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
 
     The box must be bounded and contain the target; every step halves
     each coordinate's width around the target's coordinate, clamped to
-    stay inside the previous box.
+    stay inside the previous box.  The steps run on ``(lo, hi)`` pairs:
+    each new pair is checked on the floats to lie inside the last one and
+    to hold the target, raising ``RefinementSequence``'s own errors if
+    not, and each step is boxed once.  So the sequence is built without
+    the constructor proving the same again, box by box.
     """
     t = tuple(float(v) for v in target)
     if steps < 0:
@@ -128,11 +151,19 @@ def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
     if not box.contains(t):
         raise ValueError("target must lie inside the box")
     boxes = [box]
-    current = box
+    pairs = [(d.lo, d.hi) for d in box.dims]
     for _ in range(steps):
-        current = Box(tuple(_shrink_coordinate(d, v) for d, v in zip(current, t)))
-        boxes.append(current)
-    return RefinementSequence(tuple(boxes), t)
+        shrunk = []
+        for (lo, hi), v in zip(pairs, t):
+            nl, nh = _shrink_coordinate(lo, hi, v)
+            if not lo <= nl <= v <= nh <= hi:
+                if not nl <= v <= nh:
+                    raise ValueError("target must belong to every box")
+                raise ValueError("boxes must be nested, each inside the last")
+            shrunk.append((nl, nh))
+        pairs = shrunk
+        boxes.append(Box(tuple([Interval(nl, nh) for nl, nh in pairs])))
+    return RefinementSequence._prechecked(tuple(boxes), t)
 
 
 def check_convergence(
@@ -142,20 +173,25 @@ def check_convergence(
 
     Requires the expression to be defined at the target point; raises
     ValueError otherwise.  Convergence means the final width is within
-    ``tol`` and the target's true value stayed inside every step.
+    ``tol`` and the target's true value stayed inside every step.  Each
+    box runs the pair tape, and the widths, nesting and containment are
+    read from the result pairs as ``width``, ``subset`` and ``member``
+    read them from intervals; only the last result is boxed, for the
+    report.
     """
     _check_arity(e, seq.boxes[0].arity)
     v = compile_real(e, interp)(seq.target)
     if v is None:
         raise ValueError("expression is undefined at the target point")
-    fn = compile_interval(e, interp)
-    results = [fn(b.dims) for b in seq.boxes]
-    widths = tuple(width(iv) for iv in results)
-    nested = all(subset(b, a) for a, b in zip(results, results[1:]))
-    contained = all(member(v, iv) for iv in results)
+    _, ops = _pair_tape(e, interp)
+    results = [_run(ops, [(d.lo, d.hi) for d in b.dims]) for b in seq.boxes]
+    widths = tuple(_pair_width(lo, hi) for lo, hi in results)
+    nested = all(alo <= blo and bhi <= ahi for (alo, ahi), (blo, bhi) in zip(results, results[1:]))
+    # non-reals never belong, as in member
+    contained = math.isfinite(v) and all(lo <= v <= hi for lo, hi in results)
     converged = contained and widths[-1] <= tol
     return EnclosureReport(
-        enclosure=results[-1],
+        enclosure=Interval(*results[-1]),
         widths=widths,
         iterations=len(results),
         converged=converged,
@@ -245,8 +281,7 @@ def subdivide_enclosure(
                 lo = rlo
             if rhi > hi:
                 hi = rhi
-        # lo == hi is a point, and a kernel may have left it as -0.0
-        widths_trace.append(sub_up(hi, lo) if lo < hi else 0.0)
+        widths_trace.append(_pair_width(lo, hi))
         level, frontier = frontier, []
         for b in level:
             i, w = 0, -1.0

@@ -233,21 +233,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "level width without the lo < hi test",
+        "pair width without the lo < hi test",
         "analysis.py",
         "sub_up(hi, lo) if lo < hi else 0.0",
         "sub_up(hi, lo)",
         tests=(
             "tests/test_analysis.py::TestSubdivide::test_empty_leaves",
+            "tests/test_analysis.py::TestCheckConvergence::test_signed_zero_point_has_width_zero",
         ),
     ),
     Mutant(
-        "level width of a signed-zero point",
+        "pair width of a signed-zero point",
         "analysis.py",
         "sub_up(hi, lo) if lo < hi else 0.0",
         "sub_up(hi, lo) if lo <= hi else 0.0",
         tests=(
             "tests/test_analysis.py::TestSubdivide::test_signed_zero_point_has_width_zero",
+            "tests/test_analysis.py::TestCheckConvergence::test_signed_zero_point_has_width_zero",
         ),
     ),
     Mutant(
@@ -327,6 +329,74 @@ MUTANTS = [
         "(b.copy(), (m, dhi))",
         tests=(
             "tests/test_analysis.py::TestSubdivide::test_the_second_child_takes_over_its_parents_list",
+        ),
+    ),
+    # refinement over (lo, hi) pairs
+    Mutant(
+        "the float check refuses a step that keeps a bound",
+        "analysis.py",
+        "if not lo <= nl <= v <= nh <= hi:",
+        "if not lo < nl <= v <= nh <= hi:",
+        tests=(
+            "tests/test_analysis.py::TestRefineToward::test_clamps_at_the_boundary",
+            "tests/test_analysis.py::TestRefineDifferential::test_matches_the_previous_loop",
+        ),
+    ),
+    Mutant(
+        "the float check without the target",
+        "analysis.py",
+        "if not lo <= nl <= v <= nh <= hi:",
+        "if not lo <= nl <= nh <= hi:",
+        tests=(
+            "tests/test_analysis.py::TestRefineToward::test_each_step_is_checked_on_the_floats",
+        ),
+    ),
+    Mutant(
+        "the shrink step without its nl = t clamp",
+        "analysis.py",
+        "    if nl > t:\n        nl = t\n",
+        "",
+        equivalent="never reached: half = hi/4 - lo/4 >= 0, and rounding to nearest is monotone, so "
+        "t - half <= t; an overhang below sets nl = lo <= t, one above sets nl = max(lo, nl - "
+        "(nh - hi)) with nh - hi >= 0, or max(lo, hi - 2*half) when t + half overflowed, where "
+        "t + half > MAX_FLOAT >= hi puts hi - 2*half below t exactly and so after rounding too",
+    ),
+    Mutant(
+        "the shrink step without its nh = t clamp",
+        "analysis.py",
+        "    if nh < t:\n        nh = t\n",
+        "",
+        equivalent="never reached, by the mirror image of the nl = t clamp's argument: t <= t + half; "
+        "an overhang above sets nh = hi >= t, one below sets nh = min(hi, nh + (lo - nl)) with "
+        "lo - nl >= 0, or min(hi, lo + 2*half) when t - half overflowed, where lo + 2*half lies "
+        "above t exactly",
+    ),
+    Mutant(
+        "convergence widths without the lo < hi test",
+        "analysis.py",
+        "widths = tuple(_pair_width(lo, hi) for lo, hi in results)",
+        "widths = tuple(sub_up(hi, lo) for lo, hi in results)",
+        tests=(
+            "tests/test_analysis.py::TestCheckConvergence::test_signed_zero_point_has_width_zero",
+        ),
+    ),
+    Mutant(
+        "convergence nesting with the bounds swapped",
+        "analysis.py",
+        "all(alo <= blo and bhi <= ahi for",
+        "all(blo <= alo and ahi <= bhi for",
+        tests=(
+            "tests/test_analysis.py::TestCheckConvergence::test_polynomial_converges_to_point_value",
+            "tests/test_analysis.py::TestCheckConvergenceDifferential::test_matches_the_previous_path",
+        ),
+    ),
+    Mutant(
+        "convergence containment without the finiteness test",
+        "analysis.py",
+        "contained = math.isfinite(v) and all(",
+        "contained = all(",
+        tests=(
+            "tests/test_analysis.py::TestCheckConvergence::test_an_infinite_point_value_is_not_contained",
         ),
     ),
     Mutant(

@@ -25,7 +25,10 @@ from relival.interval import EMPTY, Box, Interval, hull_union, member, midpoint,
 from relival.rounding import MAX_FLOAT
 from relival.semantics import (
     Interpretation,
+    _pair_tape,
+    _run,
     compile_interval,
+    compile_real,
     default_interpretation,
     eval_interval,
     mode_select,
@@ -123,6 +126,32 @@ class TestRefineToward:
         changes = [i for i in range(1, len(seq)) if seq.boxes[i] != seq.boxes[i - 1]]
         assert changes[-1] == last
 
+    @pytest.mark.parametrize(
+        "shrunk, message",
+        [
+            ((0.0, 0.5), "target must belong to every box"),  # nested, but loses 0.75
+            ((0.5, 1.5), "boxes must be nested, each inside the last"),  # keeps it, escapes [0, 1]
+            ((1.0, 0.5), "target must belong to every box"),  # reversed: an empty coordinate
+        ],
+    )
+    def test_each_step_is_checked_on_the_floats(self, monkeypatch, shrunk, message):
+        # a faulty shrink step is refused with the sequence constructor's own error
+        monkeypatch.setattr(analysis, "_shrink_coordinate", lambda lo, hi, t: shrunk)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            refine_toward(box1(0, 1), (0.75,), 1)
+
+    def test_the_sequence_is_not_proved_again(self, monkeypatch):
+        # refine_toward checks each step as it builds it; the public constructor still checks
+        def refuse(self):
+            raise AssertionError("RefinementSequence.__post_init__ reached")
+
+        monkeypatch.setattr(RefinementSequence, "__post_init__", refuse)
+        seq = refine_toward(box1(0, 2), (0.5,), 3)
+        assert seq.boxes[-1][0] == Interval(0.375, 0.625)
+        assert isinstance(seq.boxes, tuple) and seq.target == (0.5,)
+        with pytest.raises(AssertionError, match="reached"):
+            RefinementSequence(seq.boxes, seq.target)
+
     @pytest.mark.parametrize("target", [MAX_FLOAT, -MAX_FLOAT])
     def test_target_at_the_edge_of_the_float_range(self, target):
         # target +/- the quarter width overflows here; the box must still shrink
@@ -179,6 +208,44 @@ class TestCheckConvergence:
         rep_loose = check_convergence(ast("x"), DEFAULT, seq, 0.1)
         rep_tight = check_convergence(ast("x"), DEFAULT, seq, 0.01)
         assert rep_loose.converged and not rep_tight.converged
+
+    def test_signed_zero_point_has_width_zero(self):
+        # the root kernel maps the point -0.0 to the pair (0.0, -0.0): a point, width 0.0
+        e = ast("sqrt(-x)")
+        _, ops = _pair_tape(e, DEFAULT)
+        pair = _run(ops, [(0.0, 0.0)])
+        assert repr(pair) == "(0.0, -0.0)"
+        rep = check_convergence(e, DEFAULT, refine_toward(box1(0, 0), (0.0,), 2), 1.0)
+        assert repr(rep.widths) == "(0.0, 0.0, 0.0)"
+        assert repr(rep.enclosure) == "[0,0]"
+        assert rep.converged and rep.nested
+
+    def test_an_infinite_point_value_is_not_contained(self):
+        # a real + without the overflow test gives inf at the target, and inf is never a
+        # member, even of [MAX_FLOAT, inf]: so no tolerance, not even inf, converges
+        overflowing = Interpretation({**DEFAULT.real_ops, "+": lambda a, b: a + b}, DEFAULT.interval_ops)
+        seq = refine_toward(Box((Interval.point(MAX_FLOAT),) * 2), (MAX_FLOAT, MAX_FLOAT), 1)
+        rep = check_convergence(ast("x + y"), overflowing, seq, INF)
+        assert rep.enclosure == Interval(MAX_FLOAT, INF)
+        assert (rep.widths, rep.converged, rep.nested) == ((INF, INF), False, True)
+
+    def test_only_the_report_is_boxed(self, monkeypatch):
+        # every step runs on (lo, hi) pairs; one Interval is built, the report's
+        post_init = Interval.__post_init__
+        built = []
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        e = ast("x*y + y*z")
+        box = Box((Interval(0, 2), Interval(1, 3), Interval(2, 4)))
+        seqs = [refine_toward(box, (1.0, 2.0, 3.0), steps) for steps in (0, 40)]
+        monkeypatch.setattr(Interval, "__post_init__", counting)
+        for seq in seqs:
+            built.clear()
+            check_convergence(e, DEFAULT, seq, 1e-9)
+            assert len(built) == 1
 
 
 class TestBisect:
@@ -548,3 +615,135 @@ class TestSubdivideDifferential:
         got = subdivide_enclosure(e, _boxed(interp), box, tol, max_boxes)
         want = subdivide_enclosure(e, interp, box, tol, max_boxes)
         assert repr(got) == repr(want)
+
+
+def _reference_shrink(iv, t):
+    """``_shrink_coordinate`` as it was, on an ``Interval``."""
+    lo, hi = iv.lo, iv.hi
+    half = hi / 4 - lo / 4
+    nl = t - half
+    nh = t + half
+    if nl < lo:
+        nh = min(hi, nh + (lo - nl) if nl > -math.inf else lo + 2 * half)
+        nl = lo
+    elif nh > hi:
+        nl = max(lo, nl - (nh - hi) if nh < math.inf else hi - 2 * half)
+        nh = hi
+    if nl > t:
+        nl = t
+    if nh < t:
+        nh = t
+    return Interval(nl, nh)
+
+
+def _reference_refine(box, target, steps):
+    """``refine_toward`` as it was: a box of intervals per step, and the public
+    constructor proving nesting and the target again."""
+    t = tuple(float(v) for v in target)
+    assert steps >= 0 and box.is_bounded and box.contains(t)
+    boxes = [box]
+    current = box
+    for _ in range(steps):
+        current = Box(tuple(_reference_shrink(d, v) for d, v in zip(current, t)))
+        boxes.append(current)
+    return RefinementSequence(tuple(boxes), t)
+
+
+def _reference_check(e, interp, seq, tol):
+    """``check_convergence`` as it was: boxed results, read by width, subset and member."""
+    v = compile_real(e, interp)(seq.target)
+    if v is None:
+        raise ValueError("expression is undefined at the target point")
+    fn = compile_interval(e, interp)
+    results = [fn(b.dims) for b in seq.boxes]
+    widths = tuple(width(iv) for iv in results)
+    nested = all(subset(b, a) for a, b in zip(results, results[1:]))
+    contained = all(member(v, iv) for iv in results)
+    return EnclosureReport(results[-1], widths, len(results), contained and widths[-1] <= tol, nested)
+
+
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 0.3, -1.0,
+          1.0, 1e308, -1e308, MAX_FLOAT, -MAX_FLOAT]
+# the bounds and target of one coordinate: edges, subnormals and any finite float
+_FLOATS = st.sampled_from(_EDGES) | st.floats(-1e-300, 1e-300) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _coordinate(draw):
+    """``(lo, hi, t)`` with ``lo <= t <= hi``: free, a point, or the target on a bound."""
+    lo, t, hi = sorted([draw(_FLOATS), draw(_FLOATS), draw(_FLOATS)])
+    shape = draw(st.sampled_from(["free", "point", "on_lo", "on_hi"]))
+    if shape == "point":
+        lo = hi = t
+    elif shape == "on_lo":
+        t = lo
+    elif shape == "on_hi":
+        t = hi
+    return lo, hi, t
+
+
+def _assert_refines_as_before(box, target, steps):
+    got = refine_toward(box, target, steps)
+    want = _reference_refine(box, target, steps)
+    assert repr(got.boxes) == repr(want.boxes)
+    assert repr(got.target) == repr(want.target)
+    assert RefinementSequence(got.boxes, got.target) == got
+
+
+class TestRefineDifferential:
+    @given(coords=st.lists(_coordinate(), min_size=1, max_size=4), steps=st.integers(0, 80))
+    def test_matches_the_previous_loop(self, coords, steps):
+        box = Box(tuple(Interval(lo, hi) for lo, hi, _ in coords))
+        _assert_refines_as_before(box, [t for _, _, t in coords], steps)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(-MAX_FLOAT, MAX_FLOAT, 5e-324), (-MAX_FLOAT, MAX_FLOAT, MAX_FLOAT), (-MAX_FLOAT, MAX_FLOAT, -MAX_FLOAT)],
+            [(-MAX_FLOAT, MAX_FLOAT, 0.3), (0.0, 5e-324, 0.0), (-5e-324, 5e-324, 5e-324)],
+            [(-1e-310, 1e-310, -0.0), (2.0, 2.0, 2.0), (-MAX_FLOAT, 0.0, -MAX_FLOAT / 3)],
+        ],
+    )
+    def test_matches_the_previous_loop_for_2100_steps(self, coords):
+        # 2100 is the CLI's cap on --steps: every coordinate has long stopped changing
+        box = Box(tuple(Interval(lo, hi) for lo, hi, _ in coords))
+        _assert_refines_as_before(box, [t for _, _, t in coords], 2100)
+
+
+class TestCheckConvergenceDifferential:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        continuous=st.booleans(),
+        reshape=st.lists(st.sampled_from(sorted(_RESHAPE)), max_size=4),
+        place=st.lists(st.sampled_from(["lo", "hi", "inside"]), min_size=4, max_size=4),
+        steps=st.integers(0, 12),
+        tol=st.sampled_from([0.0, 1e-9, 0.1, 1.0, 1e308, INF]),
+        mode=st.sampled_from([None, "relational", "canonical"]),
+        boxed=st.booleans(),
+    )
+    def test_matches_the_previous_path(self, seed, continuous, reshape, place, steps, tol, mode, boxed):
+        rng = random.Random(seed)
+        e, box = random_case(rng, max_depth=4, continuous=continuous)
+        dims = list(box.dims)
+        for i, name in enumerate(reshape[: len(dims)]):
+            dims[i] = _RESHAPE[name](dims[i], dims[0])
+        box = Box(tuple(dims))
+        # a point of each coordinate, finite even when its width overflows
+        r = rng.random()
+        target = [
+            {"lo": d.lo, "hi": d.hi, "inside": min(max(d.lo * (1 - r) + d.hi * r, d.lo), d.hi)}[p]
+            for d, p in zip(dims, place)
+        ]
+        seq = refine_toward(box, target, steps)
+        interp = mode_select(DEFAULT, mode) if mode else DEFAULT
+        if boxed:
+            interp = _boxed(interp)
+        try:
+            want = repr(_reference_check(e, interp, seq, tol))
+        except ValueError as exc:
+            want = f"ValueError: {exc}"
+        try:
+            got = repr(check_convergence(e, interp, seq, tol))
+        except ValueError as exc:
+            got = f"ValueError: {exc}"
+        assert got == want

@@ -19,6 +19,7 @@ from relival.oracle import (
     RATIONAL_REALS,
     ManifestCase,
     RationalInterval,
+    _sqrt_bracket,
     case_for,
     corner_range_oracle,
     random_case,
@@ -278,6 +279,28 @@ class TestRelationalOracle:
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError):
             relational_oracle("**", Interval(0, 1), Interval(0, 1))
+
+    @pytest.mark.parametrize(
+        "op, x, y",
+        [
+            ("+", EMPTY, Interval(0, 1)),
+            ("*", Interval(0, 1), EMPTY),
+            ("/", EMPTY, EMPTY),
+            ("/", Interval(0, 1), EMPTY),  # before the zero cases: 0 in X, and Y holds no 0
+            ("neg", EMPTY, None),
+            ("sqrtr", EMPTY, None),
+        ],
+    )
+    def test_an_empty_operand_gives_the_empty_set(self, op, x, y):
+        assert relational_oracle(op, x, y) is RATIONAL_EMPTY
+
+    @pytest.mark.parametrize("q", [Fraction(-1), Fraction(-1, 3), Fraction(-5e-324)])
+    def test_root_bracket_refuses_a_negative_radicand(self, q):
+        with pytest.raises(ValueError, match="^negative radicand$"):
+            _sqrt_bracket(q)
+
+    def test_root_bracket_of_zero(self):
+        assert _sqrt_bracket(Fraction(0)) == (0, 0)
 
 
 class TestCornerRangeOracle:
