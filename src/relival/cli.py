@@ -29,7 +29,8 @@ Exit codes: 0 success (refine/enclose: converged; check: no violations),
 or tolerance option out of range (``--steps`` above 2100 included),
 3 binding coverage error, 4 did not converge, 5 analysis input
 rejected (refinement target, or a box that is unbounded, or empty for
-``check``).
+``check``) or a ``check`` with no sampled point where the expression is
+defined.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from .analysis import check_convergence, refine_toward, subdivide_enclosure
 from .expr import ParseError, parse, variable_sequence
 from .interval import Box, format_interval, hull_bounds, parse_interval
 from .rounding import _WHITESPACE, _exact_value
-from .semantics import default_interpretation, eval_interval, mode_select, sample_inclusion
+# sample_inclusion goes unused here: the benchmark tracer patches it in this module's
+# namespace, so it must stay bound
+from .semantics import _sample, default_interpretation, eval_interval, mode_select, sample_inclusion
 
 __all__ = ["main"]
 
@@ -217,7 +220,10 @@ def _cmd_check(args) -> int:
     if not box.is_bounded:
         raise _CliError(5, "check needs bounded variable intervals")
     iv = eval_interval(e, interp, box)
-    violations = sample_inclusion(e, interp, box, samples=args.samples, seed=args.seed)
+    violations, defined = _sample(e, interp, box, args.samples, args.seed, (iv.lo, iv.hi))
+    if not defined:
+        # no sampled point had a value to compare: zero violations would prove nothing
+        raise _CliError(5, "the expression is undefined at every sampled point; nothing was checked")
     text = format_interval(iv)
     lines = (f"result: {text}", f"violations: {violations}")
     _emit(args, result=text, violations=violations, text_lines=lines)

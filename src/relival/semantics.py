@@ -31,11 +31,15 @@ float (overflow beyond the binary64 range counts as undefined).
 Sampling runs the point tape over columns: each slot holds one list of
 floats, one per sample, so the tape is walked once per batch instead of
 once per point.  ``sample_inclusion``, the sampler behind ``relival
-check``, draws its points in such batches.  Inside that runner NaN marks
-an undefined value (NaN propagates through IEEE arithmetic the way
-undefinedness does); no public function returns it.  The default real
-operations run as comprehension kernels that reproduce them bit for bit;
-any other operation runs sample by sample behind an adapter.
+check``, draws its points in such batches.  Inside that runner any
+non-finite entry marks an undefined value: NaN, or the infinity an
+overflow leaves.  IEEE arithmetic carries both the way undefinedness
+propagates, and the one operation that could turn an infinity finite,
+division by it, refuses its divisor; no public function returns such an
+entry.  The default real operations run as ``map`` and comprehension
+kernels that give every defined value bit for bit; any other operation
+runs sample by sample behind an adapter, only where its arguments are
+finite.
 ``compile_real`` keeps the scalar loop: for a single point it is several
 times faster than a batch of one, and it is the reference the column
 runner is tested against.
@@ -44,6 +48,7 @@ runner is tested against.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from math import inf, nan, sqrt
@@ -180,9 +185,10 @@ class Interpretation:
     runs through an adapter: one box per argument and result on every call.
     Subdivision calls it for the first box and then only for the boxes
     whose split changed its operands.
-    When sampling, a real operation returning NaN counts as undefined, as
-    ``None`` does, and an operation is called wherever its own arguments
-    are defined, even at points where another subterm is not.
+    When sampling, a real operation returning NaN or an infinity counts as
+    undefined, as ``None`` does, and an operation is called wherever its own
+    arguments are defined (finite), even at points where another subterm is
+    not.
     """
 
     real_ops: "Mapping[str, Callable]"
@@ -257,16 +263,16 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
     return run
 
 
-# Column kernels of the default real operations: NaN in, NaN out, and NaN wherever the
-# scalar operation returns None, so each column entry equals the scalar result bit for bit.
+# Column kernels of the default real operations.  A non-finite entry is an undefined
+# sample, and no kernel turns one finite: an overflow stays an infinity, and division
+# refuses a non-finite or zero divisor.  So an entry is finite exactly where the scalar
+# operation is defined, and there it equals the scalar result bit for bit.
 _COLUMN_KERNELS: "Mapping[Callable, Callable]" = {
-    _REAL_OPS["+"]: lambda A, B: [v if _NINF < (v := x + y) < inf else nan for x, y in zip(A, B)],
-    _REAL_OPS["-"]: lambda A, B: [v if _NINF < (v := x - y) < inf else nan for x, y in zip(A, B)],
-    _REAL_OPS["*"]: lambda A, B: [v if _NINF < (v := x * y) < inf else nan for x, y in zip(A, B)],
-    _REAL_OPS["/"]: lambda A, B: [
-        v if y != 0.0 and _NINF < (v := x / y) < inf else nan for x, y in zip(A, B)
-    ],
-    _REAL_OPS["neg"]: lambda A: [-x for x in A],
+    _REAL_OPS["+"]: lambda A, B: list(map(operator.add, A, B)),
+    _REAL_OPS["-"]: lambda A, B: list(map(operator.sub, A, B)),
+    _REAL_OPS["*"]: lambda A, B: list(map(operator.mul, A, B)),
+    _REAL_OPS["/"]: lambda A, B: [x / y if _NINF < y < inf and y != 0.0 else nan for x, y in zip(A, B)],
+    _REAL_OPS["neg"]: lambda A: list(map(operator.neg, A)),
     _REAL_OPS["abs"]: lambda A: list(map(abs, A)),
     _REAL_OPS["sqrt"]: lambda A: [sqrt(x) if x >= 0.0 else nan for x in A],  # also "sqrtr"
 }
@@ -280,8 +286,8 @@ def _column(f: Callable) -> Callable:
         def per_sample(*cols):
             out = []
             for args in zip(*cols):
-                v = None if any(x != x for x in args) else f(*args)
-                out.append(nan if v is None else v)  # a NaN result stays NaN
+                v = f(*args) if all(_NINF < x < inf for x in args) else None
+                out.append(nan if v is None else v)  # a non-finite result stays undefined
             return out
 
         return per_sample
@@ -292,7 +298,8 @@ def _compile_columns(e: Expr, interp: Interpretation) -> Callable:
 
     The returned callable takes one list of floats per variable, ordered
     like ``variable_sequence(e)`` and all of one length, and yields one
-    list of values, with NaN where the partial function is undefined.
+    list of values, non-finite (NaN or an infinity) where the partial
+    function is undefined.
     """
     n, ops = _bind(e, lambda sym: _column(interp.real_op(sym)))
     return lambda cols: _run(ops, list(cols[:n]))
@@ -315,16 +322,26 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     value.  At least one sample is
     needed: zero would check nothing and still report no violations.
     """
+    return _sample(e, interp, box, samples, seed)[0]
+
+
+def _sample(e: Expr, interp: Interpretation, box, samples: int, seed: int, result=None) -> "tuple[int, int]":
+    """``sample_inclusion``'s count and the number of samples where ``e`` is
+    defined, as ``(violations, defined)``.  ``result`` is the box
+    evaluation's ``(lo, hi)`` for a caller that has it already; by default
+    the pair tape computes it."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dims = _box_dims(e, box)
     if any(d.is_empty for d in dims):
-        return 0
+        return 0, 0
     for d in dims:
         if not d.is_bounded:
             raise ValueError("inclusion sampling needs a bounded box")
-    iv = compile_interval(e, interp)(dims)
-    lo, hi = iv.lo, iv.hi  # no value lies in the empty result (inf, -inf)
+    if result is None:
+        _, ops = _pair_tape(e, interp)
+        result = _run(ops, [(d.lo, d.hi) for d in dims])
+    lo, hi = result  # every value lies outside an empty result, such as (inf, -inf)
     run = _compile_columns(e, interp)
     # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once.  A width
     # past MAX_FLOAT overflows, and then lo < 0 < hi: lo * (1 - r) + hi * r adds a term in
@@ -332,7 +349,7 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     spans = [(d.lo, d.hi - d.lo, d.hi) for d in dims]
     n = len(spans)
     rand = random.Random(seed).random
-    violations = 0
+    violations = defined = 0
     for start in range(0, samples, _CHUNK):
         draws = [
             x0 + w * rand() if w < inf else x0 * (1.0 - (r := rand())) + x1 * r
@@ -340,9 +357,11 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
             for x0, w, x1 in spans
         ]
         values = run([draws[k::n] for k in range(n)])
-        # the finiteness test skips undefined values (NaN) and infinite samples
-        violations += sum(1 for v in values if _NINF < v < inf and not lo <= v <= hi)
-    return violations
+        # the finiteness test skips undefined values (NaN or an infinity)
+        finite = [v for v in values if _NINF < v < inf]
+        defined += len(finite)
+        violations += len([v for v in finite if v < lo or hi < v])
+    return violations, defined
 
 
 def _kernel(f: Callable) -> Callable:

@@ -1,4 +1,5 @@
 import math
+import time
 
 from hypothesis import HealthCheck, settings
 
@@ -31,3 +32,20 @@ def ulp_steps(a: float, b: float, limit: int = 8) -> int:
         if steps >= limit:
             return limit
     return steps
+
+
+def growth_ratio(prepare, n: int, rounds: int = 7) -> float:
+    """Best time at size ``4 * n`` over best time at size ``n``.
+
+    ``prepare(size)`` builds the inputs and returns the call to time.  The
+    rounds alternate the two sizes, so a slow spell on a shared machine
+    slows both; a linear program reads about 4, a quadratic one about 16.
+    """
+    calls = {size: prepare(size) for size in (n, 4 * n)}
+    best = dict.fromkeys(calls, math.inf)
+    for _ in range(rounds):
+        for size, call in calls.items():
+            start = time.perf_counter()
+            call()
+            best[size] = min(best[size], time.perf_counter() - start)
+    return best[4 * n] / best[n]

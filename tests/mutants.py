@@ -637,6 +637,44 @@ MUTANTS = [
             "tests/test_oracle.py::TestSampleInclusion::test_no_samples_rejected",
         ),
     ),
+    # sampling: a non-finite column entry marks an undefined sample
+    Mutant(
+        "the / column kernel divides by an infinity",
+        "semantics.py",
+        "x / y if _NINF < y < inf and y != 0.0 else nan",
+        "x / y if y == y and y != 0.0 else nan",
+        tests=(
+            "tests/test_semantics.py::TestColumnRunner::test_edge_values",
+        ),
+    ),
+    Mutant(
+        "the per-sample adapter calls a user op on an infinity",
+        "semantics.py",
+        "v = f(*args) if all(_NINF < x < inf for x in args) else None",
+        "v = f(*args) if all(x == x for x in args) else None",
+        tests=(
+            "tests/test_semantics.py::TestColumnRunner::test_edge_values",
+        ),
+    ),
+    Mutant(
+        "the sample count takes an infinity for a defined value",
+        "semantics.py",
+        "finite = [v for v in values if _NINF < v < inf]",
+        "finite = [v for v in values if v == v]",
+        tests=(
+            "tests/test_oracle.py::TestSampleInclusion::test_infinite_values_are_not_violations",
+            "tests/test_cli.py::TestCheck::test_no_defined_sample_exit_five",
+        ),
+    ),
+    Mutant(
+        "check passes with no defined sample",
+        "cli.py",
+        "    if not defined:\n",
+        "    if False:\n",
+        tests=(
+            "tests/test_cli.py::TestCheck::test_no_defined_sample_exit_five",
+        ),
+    ),
     # command line
     Mutant(
         "a named command's parser accepts left-over arguments",

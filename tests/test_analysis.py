@@ -3,7 +3,6 @@
 import math
 import random
 import sys
-import time
 import tracemalloc
 from collections import deque
 
@@ -34,6 +33,8 @@ from relival.semantics import (
     mode_select,
 )
 from relival.oracle import random_case
+
+from conftest import growth_ratio
 
 INF = math.inf
 DEFAULT = default_interpretation()
@@ -454,18 +455,13 @@ class TestSubdivide:
     def test_budget_one_in_linear_time_of_the_tape(self):
         # without a split no coordinate's re-run list is built: a list per coordinate
         # built up front once made 2000 variables take 16 times as long as 500
-        def best(n):
+        def prepare(n):
             e = ast(" + ".join(f"x{k}" for k in range(n)))
             box = Box((Interval(0, 1),) * n)
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                rep = subdivide_enclosure(e, DEFAULT, box, 1e-3, 1)
-                times.append(time.perf_counter() - start)
-            assert rep.enclosure == Interval(0, n)
-            return min(times)
+            assert subdivide_enclosure(e, DEFAULT, box, 1e-3, 1).enclosure == Interval(0, n)
+            return lambda: subdivide_enclosure(e, DEFAULT, box, 1e-3, 1)
 
-        assert best(4000) < 8 * best(1000)
+        assert growth_ratio(prepare, 1000) < 8
 
     def test_the_second_child_takes_over_its_parents_list(self):
         # the last coordinate is the widest, so the root splits it and each child re-runs

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from relival import cli
+from relival import cli, semantics
 from relival.cli import main
 from relival.interval import parse_interval, subset
+
+from conftest import growth_ratio
 
 JSON_KEYS = ["result", "mode", "widths", "converged", "violations"]
 
@@ -293,22 +295,51 @@ class TestCheck:
         assert (code, out) == (5, "")
         assert err == "error: check needs nonempty variable intervals\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sqrt(x)", "--var", "x=[-2,-1]"],
+            ["1/(x-x)", "--var", "x=[0,1]"],
+            # defined at x=2 alone, which no sample hits
+            ["sqrt(x-2)", "--var", "x=[0,2]"],
+            ["x/y", "--var", "x=[1,2]", "--var", "y=[0,0]"],
+            # y * z overflows at every sample: its infinity is no value to divide by
+            ["x / (y * z)", "--var", "x=[1,2]", "--var", "y=[1e200,1e201]", "--var", "z=[1e200,1e201]"],
+            # nor a value to compare
+            ["y * z", "--var", "y=[1e200,1e201]", "--var", "z=[1e200,1e201]"],
+        ],
+    )
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_no_defined_sample_exit_five(self, capsys, argv, json_flag):
+        # not one sampled point had a value to compare, so zero violations would prove nothing
+        code, out, err = run(capsys, "check", *argv, "--samples", "300", *json_flag)
+        assert (code, out) == (5, "")
+        assert err == "error: the expression is undefined at every sampled point; nothing was checked\n"
+
+    def test_partly_defined_run_passes(self, capsys):
+        # three chunks of samples, many undefined (sqrt of a negative, division by zero)
+        code, out, err = run(capsys, "check", "sqrt(x) / y", "--var", "x=[-1,1]", "--var", "y=[-1,1]",
+                             "--samples", "2500", "--seed", "3")
+        assert (code, out, err) == (0, "result: [-inf,inf]\nviolations: 0\n", "")
+
+    def test_box_tape_runs_once(self, capsys):
+        # the sampler takes the interval the command prints, rather than evaluating it again
+        with mock.patch.object(semantics, "_pair_tape", wraps=semantics._pair_tape) as tape:
+            code, out, _ = run(capsys, "check", "x * y", "--var", "x=[0,2]", "--var", "y=[1,3]")
+        assert (code, out) == (0, "result: [0,6]\nviolations: 0\n")
+        assert tape.call_count == 1
+
 
 class TestArgumentErrors:
     def test_assemble_in_linear_time_of_the_names(self):
         # unknown bindings are found by set lookups, not by one list search per --var:
-        # 12,000 names took 1.2 s with the list; best of three at n and 4n names
-        def best(n):
+        # 12,000 names took 1.2 s with the list; timed at n and 4n names
+        def prepare(n):
             text = " + ".join(f"x{k}" for k in range(n))
             flags = [f"x{k}=[0,1]" for k in range(n)]
-            times = []
-            for _ in range(3):
-                start = time.perf_counter()
-                cli._assemble(text, flags)
-                times.append(time.perf_counter() - start)
-            return min(times)
+            return lambda: cli._assemble(text, flags)
 
-        assert best(12000) < 8 * best(3000)
+        assert growth_ratio(prepare, 3000) < 8
 
     def test_unknown_bindings_named_in_var_order(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "z=[0,1]", "--var", "x=[0,1]", "--var", "a=[0,1]")

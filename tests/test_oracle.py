@@ -9,6 +9,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relival.expr import parse, to_source, variable_sequence
 from relival.interval import (
@@ -31,7 +33,7 @@ from relival.oracle import (
 )
 from relival.rounding import MAX_FLOAT
 from relival.semantics import (
-    Interpretation, _compile_columns, compile_real, default_interpretation, eval_interval, mode_select
+    Interpretation, _compile_columns, _sample, compile_real, default_interpretation, eval_interval, mode_select
 )
 
 from conftest import ulp_steps
@@ -423,18 +425,19 @@ class TestSampleInclusion:
                 assert min(column) < lo / 2 and max(column) > hi / 2  # spread over the coordinate
 
 
-def _per_point_inclusion(e, interp, box, samples, seed):
-    """``sample_inclusion``'s count as one ``compile_real`` call per point,
-    each drawn by ``uniform``: the loop the chunked column runner replaced."""
+def _per_point_counts(e, interp, box, samples, seed):
+    """``_sample``'s ``(violations, defined)`` from one ``compile_real`` call per
+    point, each drawn by ``uniform``: the loop the chunked column runner replaced."""
     iv = eval_interval(e, interp, box)
     rfn = compile_real(e, interp)
     u = random.Random(seed).uniform
-    violations = 0
+    violations = defined = 0
     for _ in range(samples):
         v = rfn(tuple([u(d.lo, d.hi) for d in box]))
-        if v is not None and math.isfinite(v) and not member(v, iv):
-            violations += 1
-    return violations
+        if v is not None and math.isfinite(v):
+            defined += 1
+            violations += not member(v, iv)
+    return violations, defined
 
 
 def _lower_half(interp):
@@ -464,10 +467,24 @@ class TestChunkedSampling:
             if i >= 6:  # real ops that the column runner calls sample by sample
                 interp = _real_through_adapter(interp)
             for seed in (0, 7, 2**40 + 1):
-                want = _per_point_inclusion(e, interp, box, samples, seed)
+                want, _ = _per_point_counts(e, interp, box, samples, seed)
                 assert sample_inclusion(e, interp, box, samples=samples, seed=seed) == want, (e, box, seed)
                 total += want
         assert total > samples  # the broken interpretation is caught
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 1100),
+        st.sampled_from(["default", "canonical", "relational"]),
+        st.booleans(),
+    )
+    def test_defined_count_matches_compile_real(self, seed, samples, mode, wrapped):
+        rng = random.Random(seed)
+        e, box = random_case(rng, max_depth=6)
+        interp = DEFAULT if mode == "default" else mode_select(DEFAULT, mode)
+        if wrapped:  # real ops that the column runner calls sample by sample
+            interp = _real_through_adapter(interp)
+        assert _sample(e, interp, box, samples, seed) == _per_point_counts(e, interp, box, samples, seed)
 
     def test_memory_stays_within_one_chunk(self):
         # 50,000 samples of a 4-variable box, peaks traced by tracemalloc on CPython 3.11:

@@ -470,9 +470,30 @@ _WIDE_BOUNDS = [
 
 
 def _columns_as_points(e, interp, points):
-    """The column runner's values over ``points``, NaN read as None."""
+    """The column runner's values over ``points``, any non-finite one (NaN or
+    an infinity, each an undefined sample) read as None."""
     cols = [list(c) for c in zip(*points)]
-    return [None if v != v else v for v in _compile_columns(e, interp)(cols)]
+    return [v if -INF < v < INF else None for v in _compile_columns(e, interp)(cols)]
+
+
+def _finite_or_none(v):
+    """``compile_real``'s value as the column runner gives it: an infinity,
+    which only an infinite input lets through, marks an undefined sample."""
+    return v if v is None or -INF < v < INF else None
+
+
+def _finite_arguments(interp):
+    """``interp`` with each real op undefined where an argument is not finite.
+
+    The column runner reads an infinity as an undefined sample, so it gives
+    no value where an infinite input reaches an operation; ``compile_real``
+    computes on it (``1 / x`` at x = inf is 0.0).  Only infinite inputs
+    tell the two apart: from finite ones no operation returns an infinity."""
+
+    def guard(f):
+        return lambda *a: f(*a) if all(-INF < x < INF for x in a) else None
+
+    return Interpretation({s: guard(f) for s, f in interp.real_ops.items()}, interp.interval_ops, interp.name)
 
 
 class TestColumnRunner:
@@ -495,8 +516,8 @@ class TestColumnRunner:
         points.append(tuple(lo for lo, _ in bounds))
         points.append(tuple(hi for _, hi in bounds))
         points.append(tuple(-0.0 for _ in bounds))
-        rfn = compile_real(e, interp)
-        want = [_bits(rfn(pt)) for pt in points]
+        rfn = compile_real(e, _finite_arguments(interp) if wide else interp)
+        want = [_bits(_finite_or_none(rfn(pt))) for pt in points]
         assert [_bits(v) for v in _columns_as_points(e, interp, points)] == want
 
     @pytest.mark.parametrize(
@@ -520,13 +541,28 @@ class TestColumnRunner:
             ("sqrt(x) + y", (-1.0, 2.0), None),
             ("abs(-sqrt(x)) * y", (-1.0, 0.0), None),
             ("x * y - x * y", (3.0, 0.5), 0.0),
+            # an overflow's infinity is no divisor: 1 / inf would be a finite 0.0
+            ("x / (y * z)", (1.0, 1e200, 1e200), None),
+            # nor an argument of a user's op, which is not called on it
+            ("abs(x * y)", (1e200, 1e200), None),
         ],
     )
     def test_edge_values(self, source, point, want):
         e = ast(source)
-        for interp in (DEFAULT, _real_through_adapter(DEFAULT)):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return abs(x)
+
+        # default column kernels around a user's op, which runs behind the adapter
+        spied = Interpretation({**DEFAULT.real_ops, "abs": spy}, DEFAULT.interval_ops)
+        for interp in (DEFAULT, _real_through_adapter(DEFAULT), spied):
             assert _bits(compile_real(e, interp)(point)) == _bits(want)
-            assert [_bits(v) for v in _columns_as_points(e, interp, [point])] == [_bits(want)]
+            calls.clear()
+            got = _columns_as_points(e, interp, [point])
+            assert [_bits(v) for v in got] == [_bits(_finite_or_none(want))]
+            assert all(-INF < x < INF for x in calls), calls
 
     def test_user_op_nan_and_none_are_undefined(self):
         calls = []
