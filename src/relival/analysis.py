@@ -34,7 +34,7 @@ from dataclasses import dataclass
 # here: the benchmark tracer patches each of these names in this module's namespace,
 # so each must stay bound
 from .expr import Expr, variable_sequence
-from .interval import Box, Interval, _midpoint, hull_union, member, midpoint, subset, width
+from .interval import Box, Interval, _midpoint, _pair_width, hull_union, member, midpoint, subset, width
 from .rounding import sub_up
 from .semantics import (
     Interpretation,
@@ -126,12 +126,6 @@ def _shrink_coordinate(lo: float, hi: float, t: float) -> "tuple[float, float]":
     return nl, nh
 
 
-def _pair_width(lo: float, hi: float) -> float:
-    # width() of Interval(lo, hi): 0.0 for the empty pair (inf, -inf) and for a point,
-    # which a kernel may have left as (0.0, -0.0), where sub_up would give -0.0
-    return sub_up(hi, lo) if lo < hi else 0.0
-
-
 def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
     """Nested sequence of ``steps + 1`` boxes closing in on ``target``.
 
@@ -187,8 +181,7 @@ def check_convergence(
     results = [_run(ops, [(d.lo, d.hi) for d in b.dims]) for b in seq.boxes]
     widths = tuple(_pair_width(lo, hi) for lo, hi in results)
     nested = all(alo <= blo and bhi <= ahi for (alo, ahi), (blo, bhi) in zip(results, results[1:]))
-    # non-reals never belong, as in member
-    contained = math.isfinite(v) and all(lo <= v <= hi for lo, hi in results)
+    contained = all(lo <= v <= hi for lo, hi in results)
     converged = contained and widths[-1] <= tol
     return EnclosureReport(
         enclosure=Interval(*results[-1]),

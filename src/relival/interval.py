@@ -184,9 +184,14 @@ def intersects(x: Interval, y: Interval) -> bool:
 
 def width(x: Interval) -> float:
     """Upper bound on ``hi - lo``; 0 for empty, inf when unbounded."""
-    if x.is_empty:
-        return 0.0
-    return sub_up(x.hi, x.lo)  # add_up passes an infinite operand through: a ray's width is inf
+    return _pair_width(x.lo, x.hi)
+
+
+def _pair_width(lo: float, hi: float) -> float:
+    # 0.0 for the empty pair (inf, -inf) and for a point, which a kernel may have left as
+    # (0.0, -0.0), where sub_up would give -0.0; add_up passes an infinite operand
+    # through, so a ray's width is inf
+    return sub_up(hi, lo) if lo < hi else 0.0
 
 
 def midpoint(x: Interval) -> float:

@@ -92,21 +92,24 @@ def _require_bounded(iv: Interval, side: str):
         raise ValueError(f"oracle needs bounded operands; {side} is unbounded")
 
 
-def _sqrt_bracket(q: Fraction, bits: int = 200):
-    """(lo, hi) with lo <= sqrt(q) <= hi; the gap is ~2**-bits relative."""
+_SQRT_BITS = 200
+
+
+def _sqrt_bracket(q: Fraction):
+    """(lo, hi) with lo <= sqrt(q) <= hi; the gap is ~2**-_SQRT_BITS relative."""
     if q < 0:
         raise ValueError("negative radicand")
     n, d = q.numerator, q.denominator
-    scaled = (n * d) << (2 * bits)
+    scaled = (n * d) << (2 * _SQRT_BITS)
     s = isqrt(scaled)
-    den = d << bits
+    den = d << _SQRT_BITS
     lo = Fraction(s, den)
     if s * s == scaled:
         return lo, lo
     return lo, Fraction(s + 1, den)
 
 
-def _div_oracle(x: Interval, y: Interval, grid: int) -> RationalInterval:
+def _div_oracle(x: Interval, y: Interval) -> RationalInterval:
     # solution set of z*y = x over exact rationals
     xlo, xhi = Fraction(x.lo), Fraction(x.hi)
     ylo, yhi = Fraction(y.lo), Fraction(y.hi)
@@ -117,16 +120,11 @@ def _div_oracle(x: Interval, y: Interval, grid: int) -> RationalInterval:
         return RATIONAL_REALS if zero_in_x else RATIONAL_EMPTY
     if zero_in_x and zero_in_y:
         return RATIONAL_REALS
-    # witnesses with y != 0: corner quotients plus a confirming grid
+    # witnesses with y != 0: the corner quotients, which bound the hull exactly, since
+    # a / b is monotone in each argument while b keeps one sign
     xs = [xlo, xhi]
     ys = [v for v in (ylo, yhi) if v != 0]
     candidates = [a / b for a in xs for b in ys]
-    if grid > 1:
-        steps = [Fraction(i, grid) for i in range(grid + 1)]
-        divisors = [b for b in (ylo + (yhi - ylo) * t for t in steps) if b != 0]
-        for t in steps:
-            a = xlo + (xhi - xlo) * t
-            candidates.extend(a / b for b in divisors)
     # an endpoint at zero with the other side nonzero still witnesses z=0
     if zero_in_x:
         candidates.append(Fraction(0))
@@ -139,7 +137,7 @@ def _div_oracle(x: Interval, y: Interval, grid: int) -> RationalInterval:
     return RationalInterval(lo, hi)
 
 
-def relational_oracle(op: str, x: Interval, y: "Interval | None" = None, grid: int = 16) -> RationalInterval:
+def relational_oracle(op: str, x: Interval, y: "Interval | None" = None) -> RationalInterval:
     """Recompute one operation from its defining relation, exactly.
 
     Operands must be bounded (the result may still be unbounded: division
@@ -161,7 +159,7 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None, grid: i
         vals = [f(a, b) for a in xs for b in ys]
         return RationalInterval(min(vals), max(vals))
     if op == "/":
-        return _div_oracle(x, y, grid)
+        return _div_oracle(x, y)
     if op == "neg":
         return RationalInterval(-Fraction(x.hi), -Fraction(x.lo))
     if op == "abs":

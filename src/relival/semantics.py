@@ -24,25 +24,26 @@ which normalizes ``-0.0`` and emptiness.  Subdivision binds the same
 tape (``_pair_tape``) and keeps every box as its slot list of pairs, so a
 result may carry a ``-0.0`` bound.
 
-Point evaluation is strict about partiality: an undefined subterm makes
-the whole result undefined, and a defined result is always a finite
-float (overflow beyond the binary64 range counts as undefined).
-
-Sampling runs the point tape over columns: each slot holds one list of
-floats, one per sample, so the tape is walked once per batch instead of
-once per point.  ``sample_inclusion``, the sampler behind ``relival
-check``, draws its points in such batches.  Inside that runner any
-non-finite entry marks an undefined value: NaN, or the infinity an
-overflow leaves.  IEEE arithmetic carries both the way undefinedness
-propagates, and the one operation that could turn an infinity finite,
-division by it, refuses its divisor; no public function returns such an
-entry.  The default real operations run as ``map`` and comprehension
-kernels that give every defined value bit for bit; any other operation
-runs sample by sample behind an adapter, only where its arguments are
-finite.
-``compile_real`` keeps the scalar loop: for a single point it is several
-times faster than a batch of one, and it is the reference the column
-runner is tested against.
+A point value is defined exactly when it is a finite float: NaN and the
+infinities are not reals.  An undefined argument or subterm makes the
+whole result undefined, and so does an operation that gives None, NaN
+or an infinity, whether from an overflow past the binary64 range or
+from a user's own operation.  The real operations do not test this
+themselves (the default ones are IEEE arithmetic, and only division
+refuses its zero divisor); each point runner applies the rule.
+``compile_real`` runs the tape point by point and stops at the first
+non-finite argument or value.  Sampling runs it over columns: each slot
+holds one list of floats, one per sample, so the tape is walked once per
+batch; ``sample_inclusion``, the sampler behind ``relival check``, draws
+its points in such batches.  There a non-finite entry is an undefined
+sample, which IEEE arithmetic carries as undefinedness propagates, and
+the one operation that could turn an infinity finite, division by it,
+refuses its divisor.  The default operations run as ``map`` and
+comprehension kernels that give every defined value bit for bit; any
+other operation runs sample by sample behind an adapter, only where its
+arguments are finite.  ``compile_real`` keeps the scalar loop: for a
+single point it is several times faster than a batch of one, and it is
+the reference the column runner is tested against.
 """
 
 from __future__ import annotations
@@ -151,13 +152,13 @@ def _real_sqrt(a: float) -> "float | None":
     return math.sqrt(a)
 
 
-# overflow past the float range is not a representable real result
+# IEEE operations: an overflow's infinity is left for the runner to read as undefined
 _REAL_OPS: "Mapping[str, Callable]" = {
-    "+": lambda a, b: v if _NINF < (v := a + b) < inf else None,
-    "-": lambda a, b: v if _NINF < (v := a - b) < inf else None,
-    "*": lambda a, b: v if _NINF < (v := a * b) < inf else None,
-    "/": lambda a, b: v if b != 0.0 and _NINF < (v := a / b) < inf else None,
-    "neg": lambda a: -a,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": lambda a, b: a / b if b != 0.0 else None,
+    "neg": operator.neg,
     "abs": abs,
     # both root symbols name the same point function: the nonnegative root.
     # They differ only in which set extension the interval layer picks.
@@ -185,8 +186,8 @@ class Interpretation:
     runs through an adapter: one box per argument and result on every call.
     Subdivision calls it for the first box and then only for the boxes
     whose split changed its operands.
-    When sampling, a real operation returning NaN or an infinity counts as
-    undefined, as ``None`` does, and an operation is called wherever its own
+    A real operation returning NaN or an infinity counts as undefined, as
+    ``None`` does.  When sampling, an operation is called wherever its own
     arguments are defined (finite), even at points where another subterm is
     not.
     """
@@ -245,17 +246,21 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
     """Compile ``e`` once into a point evaluator.
 
     The returned callable takes a tuple ordered like
-    ``variable_sequence(e)`` and yields a float, or None where the
-    partial function is undefined.  Arity is not rechecked per call; use
-    ``eval_real`` for the validated one-shot form.
+    ``variable_sequence(e)`` and yields a finite float, or None where the
+    partial function is undefined: at a non-finite argument, or where an
+    operation gives None, NaN or an infinity.  Arity is not rechecked per
+    call; use ``eval_real`` for the validated one-shot form.
     """
     n, ops = _bind(e, interp.real_op)
 
     def run(args):
         s = list(args[:n])
+        for v in s:
+            if not _NINF < v < inf:
+                return None
         for f, a, b in ops:
             v = f(s[a]) if b < 0 else f(s[a], s[b])
-            if v is None:
+            if v is None or not _NINF < v < inf:
                 return None
             s.append(v)
         return s[-1]
@@ -265,8 +270,8 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
 
 # Column kernels of the default real operations.  A non-finite entry is an undefined
 # sample, and no kernel turns one finite: an overflow stays an infinity, and division
-# refuses a non-finite or zero divisor.  So an entry is finite exactly where the scalar
-# operation is defined, and there it equals the scalar result bit for bit.
+# refuses a non-finite or zero divisor.  So an entry is finite exactly where
+# compile_real's value is defined, and there it equals that value bit for bit.
 _COLUMN_KERNELS: "Mapping[Callable, Callable]" = {
     _REAL_OPS["+"]: lambda A, B: list(map(operator.add, A, B)),
     _REAL_OPS["-"]: lambda A, B: list(map(operator.sub, A, B)),

@@ -221,14 +221,15 @@ class TestCheckConvergence:
         assert repr(rep.enclosure) == "[0,0]"
         assert rep.converged and rep.nested
 
-    def test_an_infinite_point_value_is_not_contained(self):
-        # a real + without the overflow test gives inf at the target, and inf is never a
-        # member, even of [MAX_FLOAT, inf]: so no tolerance, not even inf, converges
-        overflowing = Interpretation({**DEFAULT.real_ops, "+": lambda a, b: a + b}, DEFAULT.interval_ops)
+    def test_an_infinite_point_value_is_refused(self):
+        # an overflow's inf, or a user op's NaN or inf, is no real value at the target
         seq = refine_toward(Box((Interval.point(MAX_FLOAT),) * 2), (MAX_FLOAT, MAX_FLOAT), 1)
-        rep = check_convergence(ast("x + y"), overflowing, seq, INF)
-        assert rep.enclosure == Interval(MAX_FLOAT, INF)
-        assert (rep.widths, rep.converged, rep.nested) == ((INF, INF), False, True)
+        with pytest.raises(ValueError, match="undefined at the target point"):
+            check_convergence(ast("x + y"), DEFAULT, seq, INF)
+        for value in (math.nan, INF, -INF):
+            odd = Interpretation({**DEFAULT.real_ops, "abs": lambda a: value}, DEFAULT.interval_ops)
+            with pytest.raises(ValueError, match="undefined at the target point"):
+                check_convergence(ast("abs(x)"), odd, refine_toward(box1(0, 1), (0.5,), 1), INF)
 
     def test_only_the_report_is_boxed(self, monkeypatch):
         # every step runs on (lo, hi) pairs; one Interval is built, the report's

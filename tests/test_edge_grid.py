@@ -68,7 +68,7 @@ def _canonical_oracle(x: Interval, y: Interval) -> RationalInterval:
     """Exact hull of {u / v : u in x, v in y, v != 0}."""
     if not (x.lo <= 0 <= x.hi and y.lo <= 0 <= y.hi):
         # no zero-by-zero witness: the image is the relational solution set
-        return relational_oracle("/", x, y, grid=0)
+        return relational_oracle("/", x, y)
     if y.lo == 0 and y.hi == 0:
         return RATIONAL_EMPTY
     # 0 / v is attained; divisors near zero of either sign send the
@@ -82,9 +82,7 @@ def _canonical_oracle(x: Interval, y: Interval) -> RationalInterval:
 def _oracle(op: str, x: Interval, y=None) -> RationalInterval:
     if op == "/c":
         return _canonical_oracle(x, y)
-    # the corner quotients bound the hull exactly (u / v is monotone in each
-    # argument while v keeps one sign), so the confirming grid adds nothing
-    return relational_oracle(op, x, y, grid=0)
+    return relational_oracle(op, x, y)
 
 
 def _verdict(got: Interval, want: RationalInterval) -> str:

@@ -140,6 +140,12 @@ class TestEvalReal:
         e = ast("x * y")
         assert eval_real(e, DEFAULT, (1e300, 1e300)) == UNDEFINED
 
+    @pytest.mark.parametrize("value", [math.nan, INF])
+    def test_user_op_non_finite_value_is_undefined(self, value):
+        interp = Interpretation({**DEFAULT.real_ops, "abs": lambda a: value}, DEFAULT.interval_ops)
+        assert eval_real(ast("abs(x)"), interp, (1.0,)) == UNDEFINED
+        assert eval_real(ast("abs(x) - abs(x) + y"), interp, (1.0, 2.0)) == UNDEFINED
+
     def test_both_root_symbols_same_point_function(self):
         assert eval_real(ast("sqrtr(x)"), DEFAULT, (9.0,)) == RealResult.defined(3.0)
 
@@ -476,26 +482,6 @@ def _columns_as_points(e, interp, points):
     return [v if -INF < v < INF else None for v in _compile_columns(e, interp)(cols)]
 
 
-def _finite_or_none(v):
-    """``compile_real``'s value as the column runner gives it: an infinity,
-    which only an infinite input lets through, marks an undefined sample."""
-    return v if v is None or -INF < v < INF else None
-
-
-def _finite_arguments(interp):
-    """``interp`` with each real op undefined where an argument is not finite.
-
-    The column runner reads an infinity as an undefined sample, so it gives
-    no value where an infinite input reaches an operation; ``compile_real``
-    computes on it (``1 / x`` at x = inf is 0.0).  Only infinite inputs
-    tell the two apart: from finite ones no operation returns an infinity."""
-
-    def guard(f):
-        return lambda *a: f(*a) if all(-INF < x < INF for x in a) else None
-
-    return Interpretation({s: guard(f) for s, f in interp.real_ops.items()}, interp.interval_ops, interp.name)
-
-
 class TestColumnRunner:
     """The sampling column runner against ``compile_real``, one point at a time."""
 
@@ -516,8 +502,8 @@ class TestColumnRunner:
         points.append(tuple(lo for lo, _ in bounds))
         points.append(tuple(hi for _, hi in bounds))
         points.append(tuple(-0.0 for _ in bounds))
-        rfn = compile_real(e, _finite_arguments(interp) if wide else interp)
-        want = [_bits(_finite_or_none(rfn(pt))) for pt in points]
+        rfn = compile_real(e, interp)
+        want = [_bits(rfn(pt)) for pt in points]
         assert [_bits(v) for v in _columns_as_points(e, interp, points)] == want
 
     @pytest.mark.parametrize(
@@ -534,9 +520,10 @@ class TestColumnRunner:
             ("abs(x)", (-0.0,), 0.0),
             ("sqrt(x)", (-0.0,), -0.0),
             ("sqrtr(x)", (-1e-300,), None),
-            ("x", (INF,), INF),
-            ("-abs(x)", (INF,), -INF),
-            ("sqrt(x)", (INF,), INF),
+            # an infinite argument is no real value
+            ("x", (INF,), None),
+            ("-abs(x)", (INF,), None),
+            ("sqrt(x)", (INF,), None),
             ("x + y * z", (INF, 1.0, 0.0), None),
             ("sqrt(x) + y", (-1.0, 2.0), None),
             ("abs(-sqrt(x)) * y", (-1.0, 0.0), None),
@@ -545,6 +532,8 @@ class TestColumnRunner:
             ("x / (y * z)", (1.0, 1e200, 1e200), None),
             # nor an argument of a user's op, which is not called on it
             ("abs(x * y)", (1e200, 1e200), None),
+            # not even where IEEE arithmetic would make the result finite: 1 / inf is 0.0
+            ("y / x", (1.0, INF), None),
         ],
     )
     def test_edge_values(self, source, point, want):
@@ -561,7 +550,7 @@ class TestColumnRunner:
             assert _bits(compile_real(e, interp)(point)) == _bits(want)
             calls.clear()
             got = _columns_as_points(e, interp, [point])
-            assert [_bits(v) for v in got] == [_bits(_finite_or_none(want))]
+            assert [_bits(v) for v in got] == [_bits(want)]
             assert all(-INF < x < INF for x in calls), calls
 
     def test_user_op_nan_and_none_are_undefined(self):
