@@ -267,16 +267,14 @@ def subdivide_enclosure(
     created = 1  # every created box is evaluated exactly once
     widths_trace: list[float] = []
     while frontier:
-        lo, hi = settled_lo, settled_hi
-        for b in frontier:
-            rlo, rhi = b[-1]
+        lo, hi = settled_lo, settled_hi  # the level's hull: the settled leaves and every box of it
+        level, frontier = frontier, []
+        for b in level:
+            rlo, rhi = b[-1]  # read before the split: the second child takes over b
             if rlo < lo:
                 lo = rlo
             if rhi > hi:
                 hi = rhi
-        widths_trace.append(_pair_width(lo, hi))
-        level, frontier = frontier, []
-        for b in level:
             i, w = 0, -1.0
             for k in range(n):
                 dlo, dhi = b[k]
@@ -300,11 +298,11 @@ def subdivide_enclosure(
                     created += 2
                     continue
                 all_within_tol = False
-            rlo, rhi = b[-1]
             if rlo < settled_lo:
                 settled_lo = rlo
             if rhi > settled_hi:
                 settled_hi = rhi
+        widths_trace.append(_pair_width(lo, hi))
     return EnclosureReport(
         enclosure=Interval(settled_lo, settled_hi),
         widths=tuple(widths_trace),

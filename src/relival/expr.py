@@ -33,8 +33,9 @@ again up to the token.
 
 A parse gives out one shared ``Var`` per name: nodes are immutable and
 compare structurally, so sharing a leaf changes no result.  It also
-builds the evaluators' tape as it reduces (see ``_tape``) and leaves it,
-with the variable sequence, on the root it returns.
+builds the evaluators' tape as it reduces and leaves it, with the
+variable sequence, on the root it returns; the tape of a tree built any
+other way is folded from it by the same rule (see ``_tape``).
 """
 
 from __future__ import annotations
@@ -399,42 +400,28 @@ def _leaf_names(order: "list[Expr]") -> "list[str]":
     return [node.name for node in order if isinstance(node, Var)]
 
 
-def _variable_sequence(e: Expr, order: "list[Expr]") -> "tuple[str, ...]":
-    """``variable_sequence(e)``, read off ``order``, the ``_postorder(e)``
-    list, when it is not cached yet."""
-    seq = e.__dict__.get("_varseq")
-    if seq is None:
-        seq = e.__dict__["_varseq"] = tuple(dict.fromkeys(_leaf_names(order)))
-    return seq
-
-
 def _tape(e: Expr) -> "tuple[int, tuple[tuple[str, int, int], ...]]":
     """Argument count and operations of ``e``'s tape; cached on the node.
 
     ``parse`` leaves the tape on the root it returns.  Any other tree is
-    walked once: the post-order list gives the variable sequence (when
-    ``e`` has none cached yet) and the operations, interned as ``parse``
-    interns them.
+    folded once by ``parse``'s rule: each variable takes the next slot at
+    its first leaf, and each operation is interned as ``parse`` interns
+    it.  The slots' names are the variable sequence, cached with the tape
+    when ``e`` has none yet.
     """
     tape = e.__dict__.get("_tape")
     if tape is None:
-        order = _postorder(e)
-        names = _variable_sequence(e, order)
-        slot = {name: k for k, name in enumerate(names)}
+        slots: dict = {}  # name -> slot, in order of first leaf
         keys: dict = {}
         ops: list = []
-        stack: list[int] = []  # slot of each finished subterm
-        for node in order:
-            if isinstance(node, Var):
-                stack.append(slot[node.name])
-                continue
-            if isinstance(node, Unary):
-                key = (node.op, stack.pop(), -1)
-            else:
-                b = stack.pop()
-                key = (node.op, stack.pop(), b)
-            stack.append(_intern(key, keys, ops))
-        tape = e.__dict__["_tape"] = _absolute(len(names), ops)
+        _fold(
+            e,
+            lambda v: slots.setdefault(v.name, len(slots)),
+            lambda u, a: _intern((u.op, a, -1), keys, ops),
+            lambda b, a, c: _intern((b.op, a, c), keys, ops),
+        )
+        e.__dict__.setdefault("_varseq", tuple(slots))
+        tape = e.__dict__["_tape"] = _absolute(len(slots), ops)
     return tape
 
 
@@ -444,7 +431,7 @@ def variable_sequence(e: Expr) -> "tuple[str, ...]":
     caches it on the root it returns."""
     seq = e.__dict__.get("_varseq")
     if seq is None:
-        seq = _variable_sequence(e, _postorder(e))
+        seq = e.__dict__["_varseq"] = tuple(dict.fromkeys(_leaf_names(_postorder(e))))
     return seq
 
 

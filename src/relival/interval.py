@@ -168,7 +168,7 @@ def hull_union(x: Interval, y: Interval) -> Interval:
 
 def member(value: float, x: Interval) -> bool:
     """Set membership; non-reals (NaN and the infinities) never belong."""
-    return math.isfinite(value) and x.lo <= value <= x.hi  # false on (inf, -inf)
+    return _NINF < value < _INF and x.lo <= value <= x.hi  # false on (inf, -inf)
 
 
 def subset(x: Interval, y: Interval) -> bool:

@@ -317,7 +317,11 @@ def _build_single(rng: random.Random, leaves: int, counter: list) -> Expr:
     return node
 
 
-def random_single_occurrence_case(rng: random.Random, max_leaves: int = 6):
+# leaves of a single-occurrence case: corners stay exact up to this many (see below)
+_SINGLE_LEAVES = 6
+
+
+def random_single_occurrence_case(rng: random.Random):
     """Random single-occurrence ``+ - * neg`` expression with a dyadic box.
 
     Box endpoints are multiples of 1/16 with magnitude at most 8, so any
@@ -325,7 +329,7 @@ def random_single_occurrence_case(rng: random.Random, max_leaves: int = 6):
     exactly representable in binary64 and the engine's rounded corners
     are exact.  Returns (expr, box).
     """
-    leaves = rng.randint(1, max_leaves)
+    leaves = rng.randint(1, _SINGLE_LEAVES)
     e = _build_single(rng, leaves, [0])
     dims = []
     for _ in variable_sequence(e):

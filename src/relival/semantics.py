@@ -5,7 +5,7 @@ function and an interval operation that extends it setwise.  Both
 layers run one tape (a straight-line operation list, or Wengert list)
 that is built once per root node without recursion and cached there:
 ``parse`` builds it as it reduces, and a tree built some other way gets
-it from one post-order walk (``expr._tape``).
+it by one fold over its nodes, by the same rule (``expr._tape``).
 Slots ``0..n-1`` hold the arguments, one per variable in the order of
 ``variable_sequence``; each later slot holds one ``(symbol, a, b)``
 operation on earlier slots, in post-order, where ``b < 0`` marks a
@@ -28,9 +28,11 @@ A point value is defined exactly when it is a finite float: NaN and the
 infinities are not reals.  An undefined argument or subterm makes the
 whole result undefined, and so does an operation that gives None, NaN
 or an infinity, whether from an overflow past the binary64 range or
-from a user's own operation.  The real operations do not test this
-themselves (the default ones are IEEE arithmetic, and only division
-refuses its zero divisor); each point runner applies the rule.
+from a user's own operation, or that gives a number past that range,
+such as a user operation's int ``10**400``.  The real operations do
+not test this themselves (the default ones are IEEE arithmetic, and
+only division refuses its zero divisor); each point runner applies the
+rule.
 ``compile_real`` runs the tape point by point and stops at the first
 non-finite argument or value.  Sampling runs it over columns: each slot
 holds one list of floats, one per sample, so the tape is walked once per
@@ -58,7 +60,6 @@ from typing import Callable, Mapping
 from .expr import Expr, _tape, variable_sequence
 from .interval import (
     _KERNELS,
-    _NINF,
     Box,
     Interval,
     absolute,
@@ -71,6 +72,7 @@ from .interval import (
     sqrt_rel,
     sub,
 )
+from .rounding import MAX_FLOAT
 
 __all__ = [
     "DistributionPlan",
@@ -118,6 +120,11 @@ def build_distribution(left: Expr, right: Expr) -> DistributionPlan:
     return DistributionPlan(n, tuple(range(len(lseq))), tuple(ridx))
 
 
+# A value v is defined when _LOWEST <= v <= MAX_FLOAT: false on NaN and the infinities,
+# and exact on an int past the float range, which float() cannot convert
+_LOWEST = -MAX_FLOAT
+
+
 @dataclass(frozen=True)
 class RealResult:
     """Outcome of a point evaluation: a finite value, or undefined."""
@@ -126,7 +133,7 @@ class RealResult:
 
     @classmethod
     def defined(cls, v: float) -> "RealResult":
-        if not math.isfinite(v):
+        if not _LOWEST <= v <= MAX_FLOAT:
             raise ValueError("defined results must be finite reals")
         v = float(v)
         if v == 0.0:
@@ -186,8 +193,9 @@ class Interpretation:
     runs through an adapter: one box per argument and result on every call.
     Subdivision calls it for the first box and then only for the boxes
     whose split changed its operands.
-    A real operation returning NaN or an infinity counts as undefined, as
-    ``None`` does.  When sampling, an operation is called wherever its own
+    A real operation returning NaN, an infinity or a number past the float
+    range (such as the int ``10**400``) counts as undefined, as ``None``
+    does.  When sampling, an operation is called wherever its own
     arguments are defined (finite), even at points where another subterm is
     not.
     """
@@ -256,11 +264,11 @@ def compile_real(e: Expr, interp: Interpretation) -> Callable:
     def run(args):
         s = list(args[:n])
         for v in s:
-            if not _NINF < v < inf:
+            if not _LOWEST <= v <= MAX_FLOAT:
                 return None
         for f, a, b in ops:
             v = f(s[a]) if b < 0 else f(s[a], s[b])
-            if v is None or not _NINF < v < inf:
+            if v is None or not _LOWEST <= v <= MAX_FLOAT:
                 return None
             s.append(v)
         return s[-1]
@@ -276,7 +284,7 @@ _COLUMN_KERNELS: "Mapping[Callable, Callable]" = {
     _REAL_OPS["+"]: lambda A, B: list(map(operator.add, A, B)),
     _REAL_OPS["-"]: lambda A, B: list(map(operator.sub, A, B)),
     _REAL_OPS["*"]: lambda A, B: list(map(operator.mul, A, B)),
-    _REAL_OPS["/"]: lambda A, B: [x / y if _NINF < y < inf and y != 0.0 else nan for x, y in zip(A, B)],
+    _REAL_OPS["/"]: lambda A, B: [x / y if _LOWEST <= y <= MAX_FLOAT and y != 0.0 else nan for x, y in zip(A, B)],
     _REAL_OPS["neg"]: lambda A: list(map(operator.neg, A)),
     _REAL_OPS["abs"]: lambda A: list(map(abs, A)),
     _REAL_OPS["sqrt"]: lambda A: [sqrt(x) if x >= 0.0 else nan for x in A],  # also "sqrtr"
@@ -291,8 +299,9 @@ def _column(f: Callable) -> Callable:
         def per_sample(*cols):
             out = []
             for args in zip(*cols):
-                v = f(*args) if all(_NINF < x < inf for x in args) else None
-                out.append(nan if v is None else v)  # a non-finite result stays undefined
+                v = f(*args) if all(_LOWEST <= x <= MAX_FLOAT for x in args) else None
+                # None, NaN, an infinity or a number past the float range: undefined
+                out.append(v if v is not None and _LOWEST <= v <= MAX_FLOAT else nan)
             return out
 
         return per_sample
@@ -363,7 +372,7 @@ def _sample(e: Expr, interp: Interpretation, box, samples: int, seed: int, resul
         ]
         values = run([draws[k::n] for k in range(n)])
         # the finiteness test skips undefined values (NaN or an infinity)
-        finite = [v for v in values if _NINF < v < inf]
+        finite = [v for v in values if _LOWEST <= v <= MAX_FLOAT]
         defined += len(finite)
         violations += len([v for v in finite if v < lo or hi < v])
     return violations, defined
@@ -405,7 +414,10 @@ def _check_arity(e: Expr, got: int):
 
 def eval_real(e: Expr, interp: Interpretation, point) -> RealResult:
     """Evaluate at a tuple of finite reals ordered like the variable sequence."""
-    pt = tuple(float(v) for v in point)
+    try:
+        pt = tuple(float(v) for v in point)
+    except OverflowError:  # an int past the float range
+        raise ValueError("point coordinates must be finite reals") from None
     _check_arity(e, len(pt))
     for v in pt:
         if not math.isfinite(v):

@@ -86,7 +86,7 @@ MUTANTS = [
     Mutant(
         "the point runner takes an infinity for a value",
         "semantics.py",
-        "if v is None or not _NINF < v < inf:",
+        "if v is None or not _LOWEST <= v <= MAX_FLOAT:",
         "if v is None:",
         tests=(
             "tests/test_semantics.py::TestEvalReal::test_overflow_is_undefined",
@@ -97,10 +97,38 @@ MUTANTS = [
     Mutant(
         "the point runner computes on an infinite argument",
         "semantics.py",
-        "        for v in s:\n            if not _NINF < v < inf:\n                return None\n",
+        "        for v in s:\n            if not _LOWEST <= v <= MAX_FLOAT:\n                return None\n",
         "",
         tests=(
             "tests/test_semantics.py::TestColumnRunner::test_edge_values",
+        ),
+    ),
+    Mutant(
+        "the point runner's old infinity test lets 10**400 through",
+        "semantics.py",
+        "if v is None or not _LOWEST <= v <= MAX_FLOAT:",
+        "if v is None or not -inf < v < inf:",
+        tests=(
+            "tests/test_semantics.py::TestEvalReal::test_user_op_value_past_the_float_range_is_undefined",
+            "tests/test_semantics.py::TestColumnRunner::test_divisor_past_the_float_range_is_undefined",
+        ),
+    ),
+    Mutant(
+        "the per-sample adapter keeps a value past the float range",
+        "semantics.py",
+        "out.append(v if v is not None and _LOWEST <= v <= MAX_FLOAT else nan)",
+        "out.append(nan if v is None else v)",
+        tests=(
+            "tests/test_oracle.py::TestSampleInclusion::test_values_past_the_float_range_are_not_violations",
+        ),
+    ),
+    Mutant(
+        "member back on math.isfinite",
+        "interval.py",
+        "return _NINF < value < _INF and x.lo",
+        "return math.isfinite(value) and x.lo",
+        tests=(
+            "tests/test_interval.py::TestPredicates::test_member_number_past_the_float_range",
         ),
     ),
     Mutant(
@@ -244,6 +272,16 @@ MUTANTS = [
         tests=(
             "tests/test_analysis.py::TestSubdivide::test_signed_zero_point_has_width_zero",
             "tests/test_analysis.py::TestCheckConvergence::test_signed_zero_point_has_width_zero",
+        ),
+    ),
+    Mutant(
+        "the level width read from the settled hull only",
+        "analysis.py",
+        "widths_trace.append(_pair_width(lo, hi))",
+        "widths_trace.append(_pair_width(settled_lo, settled_hi))",
+        tests=(
+            "tests/test_analysis.py::TestSubdivide::test_ties_split_the_lowest_index",
+            "tests/test_analysis.py::TestSubdivide::test_report_shape",
         ),
     ),
     Mutant(
@@ -502,8 +540,27 @@ MUTANTS = [
     Mutant(
         "the tape numbers variables in sorted order",
         "expr.py",
-        "names = _variable_sequence(e, order)",
-        "names = tuple(sorted(_variable_sequence(e, order)))",
+        "slots: dict = {}",
+        "slots: dict = {name: k for k, name in enumerate(sorted(set(_leaf_names(_postorder(e)))))}",
+        tests=(
+            "tests/test_semantics.py::TestTape::test_one_walk_matches_two",
+        ),
+    ),
+    Mutant(
+        "the fold gives every leaf slot 0",
+        "expr.py",
+        "lambda v: slots.setdefault(v.name, len(slots))",
+        "lambda v: slots.setdefault(v.name, 0)",
+        tests=(
+            "tests/test_semantics.py::TestTape::test_matches_closure_routing",
+            "tests/test_semantics.py::TestTape::test_one_walk_matches_two",
+        ),
+    ),
+    Mutant(
+        "the fold swaps binary operands",
+        "expr.py",
+        "_intern((b.op, a, c), keys, ops)",
+        "_intern((b.op, c, a), keys, ops)",
         tests=(
             "tests/test_semantics.py::TestTape::test_matches_closure_routing",
             "tests/test_semantics.py::TestTape::test_one_walk_matches_two",
@@ -626,7 +683,7 @@ MUTANTS = [
     Mutant(
         "the / column kernel divides by an infinity",
         "semantics.py",
-        "x / y if _NINF < y < inf and y != 0.0 else nan",
+        "x / y if _LOWEST <= y <= MAX_FLOAT and y != 0.0 else nan",
         "x / y if y == y and y != 0.0 else nan",
         tests=(
             "tests/test_semantics.py::TestColumnRunner::test_edge_values",
@@ -635,7 +692,7 @@ MUTANTS = [
     Mutant(
         "the per-sample adapter calls a user op on an infinity",
         "semantics.py",
-        "v = f(*args) if all(_NINF < x < inf for x in args) else None",
+        "v = f(*args) if all(_LOWEST <= x <= MAX_FLOAT for x in args) else None",
         "v = f(*args) if all(x == x for x in args) else None",
         tests=(
             "tests/test_semantics.py::TestColumnRunner::test_edge_values",
@@ -644,10 +701,9 @@ MUTANTS = [
     Mutant(
         "the sample count takes an infinity for a defined value",
         "semantics.py",
-        "finite = [v for v in values if _NINF < v < inf]",
+        "finite = [v for v in values if _LOWEST <= v <= MAX_FLOAT]",
         "finite = [v for v in values if v == v]",
         tests=(
-            "tests/test_oracle.py::TestSampleInclusion::test_infinite_values_are_not_violations",
             "tests/test_cli.py::TestCheck::test_no_defined_sample_exit_five",
         ),
     ),

@@ -274,6 +274,11 @@ class TestPredicates:
     def test_member_empty(self):
         assert not member(0.0, EMPTY)
 
+    def test_member_number_past_the_float_range(self):
+        # a real all the same: compared exactly, where math.isfinite overflowed
+        assert member(10**400, REALS) and member(-(10**400), REALS)
+        assert not member(10**400, Interval(0.0, MAX_FLOAT))
+
     def test_contains_dunder(self):
         assert 1.5 in Interval(1, 2)
         assert 5.0 not in Interval(1, 2)

@@ -392,6 +392,15 @@ class TestSampleInclusion:
         box = Box((Interval(0, 1), Interval(0, 1)))
         assert sample_inclusion(ast("x + y"), infinite, box, samples=300, seed=4) == 0
 
+    def test_values_past_the_float_range_are_not_violations(self):
+        # a user op's int 10**400 is no float, so no defined value, and outside the
+        # bounded box result it would be counted as a violation
+        interp = Interpretation({**DEFAULT.real_ops, "abs": lambda a: 10**400}, DEFAULT.interval_ops)
+        box = Box((Interval(0, 1),))
+        assert _sample(ast("abs(x)"), interp, box, 5, 0) == (0, 0)
+        # nor defined again where it cancels
+        assert _sample(ast("abs(x) - abs(x)"), interp, box, 5, 0) == (0, 0)
+
     @pytest.mark.parametrize(
         "dims",
         [

@@ -19,6 +19,7 @@ from relival.semantics import (
     _compile_columns,
     _pair_tape,
     _run,
+    _sample,
     build_distribution,
     compile_interval,
     compile_real,
@@ -108,6 +109,11 @@ class TestRealResult:
     def test_negative_zero_normalized(self):
         assert math.copysign(1.0, RealResult.defined(-0.0).value) == 1.0
 
+    def test_defined_rejects_a_number_past_the_float_range(self):
+        with pytest.raises(ValueError, match="finite reals"):
+            RealResult.defined(10**400)
+        assert RealResult.defined(2**1000).value == 2.0**1000
+
 
 class TestEvalReal:
     def test_polynomial_point(self):
@@ -146,6 +152,13 @@ class TestEvalReal:
         assert eval_real(ast("abs(x)"), interp, (1.0,)) == UNDEFINED
         assert eval_real(ast("abs(x) - abs(x) + y"), interp, (1.0, 2.0)) == UNDEFINED
 
+    def test_user_op_value_past_the_float_range_is_undefined(self):
+        interp = Interpretation({**DEFAULT.real_ops, "abs": lambda a: 10**400}, DEFAULT.interval_ops)
+        assert compile_real(ast("abs(x)"), interp)((1.0,)) is None
+        assert eval_real(ast("abs(x)"), interp, (1.0,)) == UNDEFINED
+        # not defined again where the int cancels
+        assert eval_real(ast("abs(x) - abs(x) + y"), interp, (1.0, 2.0)) == UNDEFINED
+
     def test_both_root_symbols_same_point_function(self):
         assert eval_real(ast("sqrtr(x)"), DEFAULT, (9.0,)) == RealResult.defined(3.0)
 
@@ -158,6 +171,11 @@ class TestEvalReal:
             eval_real(ast("x"), DEFAULT, (INF,))
         with pytest.raises(ValueError):
             eval_real(ast("x"), DEFAULT, (math.nan,))
+
+    def test_coordinate_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="point coordinates must be finite reals"):
+            eval_real(ast("x"), DEFAULT, (10**400,))
+        assert eval_real(ast("x"), DEFAULT, (2**1000,)) == RealResult.defined(2.0**1000)
 
 
 class TestEvalInterval:
@@ -299,7 +317,7 @@ def _counting(table, calls):
 
 def _two_walk_tape(e):
     """Variable sequence and ``(n, ops)`` tape of ``e``, built over two walks of the
-    tree, one for each (and no cache): the reference the one-walk ``_tape`` and the
+    tree, one for each (and no cache): the reference the folded ``_tape`` and the
     tape ``parse`` builds are tested against."""
     names = tuple(dict.fromkeys(n.name for n in _postorder(e) if isinstance(n, Var)))
     slot = {name: k for k, name in enumerate(names)}
@@ -552,6 +570,14 @@ class TestColumnRunner:
             got = _columns_as_points(e, interp, [point])
             assert [_bits(v) for v in got] == [_bits(want)]
             assert all(-INF < x < INF for x in calls), calls
+
+    def test_divisor_past_the_float_range_is_undefined(self):
+        # 1.0 / 10**400 raises OverflowError; the int is no value to divide by
+        interp = Interpretation({**DEFAULT.real_ops, "abs": lambda a: 10**400}, DEFAULT.interval_ops)
+        e = ast("y / abs(x)")
+        assert compile_real(e, interp)((1.0, 1.0)) is None
+        assert _columns_as_points(e, interp, [(1.0, 1.0), (2.0, -3.0)]) == [None, None]
+        assert _sample(e, interp, Box((Interval(1, 2), Interval(0, 1))), 5, 0) == (0, 0)
 
     def test_user_op_nan_and_none_are_undefined(self):
         calls = []

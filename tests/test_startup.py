@@ -20,11 +20,14 @@ def test_cli_import_skips_oracle_and_json():
         f"sys.path.insert(0, {parent!r})\n"
         "import relival.cli\n"
         "print(sorted(m for m in ('relival.oracle', 'json') if m in sys.modules))\n"
+        # the first read of relival.oracle loads it, through the package's __getattr__
+        "import relival\n"
+        "print(relival.oracle.__name__, 'relival.oracle' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=60, check=True
     ).stdout
-    assert out == "[]\n"
+    assert out == "[]\nrelival.oracle True\n"
 
 
 def test_oracle_names_resolve():
