@@ -3,10 +3,10 @@
 Intervals are closed connected sets of reals with binary64 bounds;
 operations return the tightest representable interval around the solution
 set of their defining relation, rounding outward so the true set is never
-lost.  Expressions evaluate over boxes through a shared-variable routing
-discipline, point evaluation stays inside interval evaluation, and the
-analysis layer checks the convergence that inclusion monotonicity
-promises.
+lost.  Expressions evaluate over boxes with each variable one coordinate
+however often it occurs, point evaluation stays inside interval
+evaluation, and the analysis layer checks the convergence that inclusion
+monotonicity promises.
 
 The exact-rational ``oracle`` module is loaded on first use of
 ``relival.oracle`` or one of its names, so importing the engine or the

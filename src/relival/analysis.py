@@ -40,6 +40,7 @@ from .semantics import (
     Interpretation,
     _check_arity,
     _pair_tape,
+    _point,
     _run,
     compile_interval,
     compile_real,
@@ -64,7 +65,7 @@ class RefinementSequence:
 
     def __post_init__(self):
         boxes = tuple(self.boxes)
-        target = tuple(float(v) for v in self.target)
+        target = _point(self.target)
         if not boxes:
             raise ValueError("a refinement sequence needs at least one box")
         for b in boxes:
@@ -117,12 +118,6 @@ def _shrink_coordinate(lo: float, hi: float, t: float) -> "tuple[float, float]":
     elif nh > hi:
         nl = max(lo, nl - (nh - hi) if nh < math.inf else hi - 2 * half)
         nh = hi
-    # rounding safety: never lose the target.  Rounding to nearest is monotone, so
-    # nl <= t <= nh already holds, and each shift above keeps it: these never fire
-    if nl > t:
-        nl = t
-    if nh < t:
-        nh = t
     return nl, nh
 
 
@@ -137,7 +132,7 @@ def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
     not, and each step is boxed once.  So the sequence is built without
     the constructor proving the same again, box by box.
     """
-    t = tuple(float(v) for v in target)
+    t = _point(target)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if not box.is_bounded:
@@ -211,14 +206,7 @@ def bisect(box: Box, coord: int) -> "tuple[Box, Box]":
     m = midpoint(iv)
     if m == iv.lo or m == iv.hi:
         raise ValueError("coordinate too narrow to split at float resolution")
-    return _split(box, coord, m)
-
-
-def _split(box: Box, coord: int, m: float) -> "tuple[Box, Box]":
-    # the caller has checked that m lies strictly inside coordinate coord
-    dims = box.dims
-    iv = dims[coord]
-    head, tail = dims[:coord], dims[coord + 1 :]
+    head, tail = box.dims[:coord], box.dims[coord + 1 :]
     return Box(head + (Interval(iv.lo, m),) + tail), Box(head + (Interval(m, iv.hi),) + tail)
 
 

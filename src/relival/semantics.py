@@ -11,10 +11,10 @@ Slots ``0..n-1`` hold the arguments, one per variable in the order of
 operation on earlier slots, in post-order, where ``b < 0`` marks a
 unary one.  Operations are numbered by that key, so a repeated subterm
 is evaluated once, which changes no result.  Every leaf of a variable
-reads that one coordinate, which is where ``build_distribution`` routes
-it node by node, so ``x - x`` over [0,1] stays at [-1,1] (one witness
-per variable, chosen independently per side of the relation) rather
-than pretending the two sides are correlated.
+reads that variable's one slot, so each variable is one coordinate of
+the argument however often it occurs, and ``x - x`` over [0,1] stays at
+[-1,1] (one witness per variable, chosen independently per side of the
+relation) rather than pretending the two sides are correlated.
 
 A box tape's slots hold bare ``(lo, hi)`` float pairs (empty:
 ``(inf, -inf)``) and its public interval operations run as their
@@ -75,8 +75,6 @@ from .interval import (
 from .rounding import MAX_FLOAT
 
 __all__ = [
-    "DistributionPlan",
-    "build_distribution",
     "RealResult",
     "UNDEFINED",
     "Interpretation",
@@ -87,37 +85,6 @@ __all__ = [
     "eval_real",
     "eval_interval",
 ]
-
-
-@dataclass(frozen=True)
-class DistributionPlan:
-    """Index routing for one binary node.
-
-    A combined tuple of ``combined_arity`` coordinates feeds the left
-    subexpression through ``left_indices`` (always the identity prefix
-    ``0..m-1``) and the right one through ``right_indices`` (shared
-    variables point into that prefix, fresh ones continue past it, each
-    exactly once, in order).
-    """
-
-    combined_arity: int
-    left_indices: "tuple[int, ...]"
-    right_indices: "tuple[int, ...]"
-
-
-def build_distribution(left: Expr, right: Expr) -> DistributionPlan:
-    """Plan for a node whose children are ``left`` and ``right``."""
-    lseq = variable_sequence(left)
-    rseq = variable_sequence(right)
-    pos = {name: i for i, name in enumerate(lseq)}
-    n = len(lseq)
-    ridx = []
-    for name in rseq:
-        if name not in pos:
-            pos[name] = n
-            n += 1
-        ridx.append(pos[name])
-    return DistributionPlan(n, tuple(range(len(lseq))), tuple(ridx))
 
 
 # A value v is defined when _LOWEST <= v <= MAX_FLOAT: false on NaN and the infinities,
@@ -412,12 +379,18 @@ def _check_arity(e: Expr, got: int):
         )
 
 
+def _point(values) -> "tuple[float, ...]":
+    """``values`` as a tuple of floats; a number past the float range, such as
+    the int ``10**400``, is refused with ValueError, not OverflowError."""
+    try:
+        return tuple(float(v) for v in values)
+    except OverflowError:
+        raise ValueError("point coordinates must be finite reals") from None
+
+
 def eval_real(e: Expr, interp: Interpretation, point) -> RealResult:
     """Evaluate at a tuple of finite reals ordered like the variable sequence."""
-    try:
-        pt = tuple(float(v) for v in point)
-    except OverflowError:  # an int past the float range
-        raise ValueError("point coordinates must be finite reals") from None
+    pt = _point(point)
     _check_arity(e, len(pt))
     for v in pt:
         if not math.isfinite(v):

@@ -294,6 +294,15 @@ MUTANTS = [
             "tests/test_analysis.py::TestSubdivide::test_interval_constructions_do_not_grow_with_the_budget",
         ),
     ),
+    Mutant(
+        "bisect swaps its halves",
+        "analysis.py",
+        "return Box(head + (Interval(iv.lo, m),) + tail), Box(head + (Interval(m, iv.hi),) + tail)",
+        "return Box(head + (Interval(m, iv.hi),) + tail), Box(head + (Interval(iv.lo, m),) + tail)",
+        tests=(
+            "tests/test_analysis.py::TestBisect::test_splits_through_the_shared_split",
+        ),
+    ),
     # subdivision re-runs only the operations that read the split coordinate
     Mutant(
         "a coordinate's operations are only those reading it directly",
@@ -384,24 +393,13 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the shrink step without its nl = t clamp",
+        "the refinement target converted without the range check",
         "analysis.py",
-        "    if nl > t:\n        nl = t\n",
-        "",
-        equivalent="never reached: half = hi/4 - lo/4 >= 0, and rounding to nearest is monotone, so "
-        "t - half <= t; an overhang below sets nl = lo <= t, one above sets nl = max(lo, nl - "
-        "(nh - hi)) with nh - hi >= 0, or max(lo, hi - 2*half) when t + half overflowed, where "
-        "t + half > MAX_FLOAT >= hi puts hi - 2*half below t exactly and so after rounding too",
-    ),
-    Mutant(
-        "the shrink step without its nh = t clamp",
-        "analysis.py",
-        "    if nh < t:\n        nh = t\n",
-        "",
-        equivalent="never reached, by the mirror image of the nl = t clamp's argument: t <= t + half; "
-        "an overhang above sets nh = hi >= t, one below sets nh = min(hi, nh + (lo - nl)) with "
-        "lo - nl >= 0, or min(hi, lo + 2*half) when t - half overflowed, where lo + 2*half lies "
-        "above t exactly",
+        "    t = _point(target)\n",
+        "    t = tuple(float(v) for v in target)\n",
+        tests=(
+            "tests/test_analysis.py::TestRefineToward::test_target_past_the_float_range_is_refused",
+        ),
     ),
     Mutant(
         "convergence widths without the lo < hi test",

