@@ -9,16 +9,22 @@ Four subcommands over the same expression/box plumbing:
 
 The token after a value-taking option is always its value, so
 ``--at -1,2`` works like ``--at=-1,2``; option names are not
-abbreviated.  An expression that starts with ``-`` is still read as an
-option: write it as ``(-x)``, or put it after ``--`` following the
-options.
+abbreviated.  ``--`` is the one exception: it is never a value and
+always ends the options, so ``--tol --`` and ``--tol=--`` are refused
+as a ``--tol`` given no value.  An expression that starts with ``-`` is
+still read as an option: write it as ``(-x)``, or put it after ``--``
+following the options.
 
 Every argument is declared once, in the ``_COMMON`` and ``_COMMANDS``
 tables, and both the parser and the set of options that take a value
 are read off them.  A call whose first argument names a subcommand
 builds and runs that subcommand's parser alone; the full parser, with
 all four, is built only for a call that names none or that gives an
-argument its subcommand does not take (see ``_parse_args``).
+argument its subcommand does not take (see ``_parse_args``).  The
+subcommand's parser sees one ``--var`` token for each run of them, so
+that parsing takes time linear in the number of bindings, and every
+``--var`` value reaches ``args.var`` in argv order, as argparse's
+append would put it.
 
 ``--json`` prints strict JSON: an infinite width is the string
 ``"inf"``, as in the text output.  ``--at`` values are number text as
@@ -310,20 +316,56 @@ def _join_option_values(argv) -> list:
     glued are those of any subcommand that take one value.  No parser
     accepts an abbreviated option name, so the names glued are exactly
     the names accepted.
+
+    ``--`` is never a value: ``--tol --`` is left apart and ``--tol=--``
+    is split into ``--tol`` and ``--``, so that argparse refuses the
+    option as given no value and reads everything after ``--`` as
+    positionals.
     """
     out = []
     tokens = iter(argv)
     for tok in tokens:
+        if tok in _TAKES_VALUE:
+            value = next(tokens, None)
+            if value == "--":
+                out.append(tok)
+                tok = value
+            elif value is not None:
+                tok = f"{tok}={value}"
+        elif tok.endswith("=--") and tok[:-3] in _TAKES_VALUE:
+            out.append(tok[:-3])
+            tok = "--"
         if tok == "--":
             out.append(tok)
             out.extend(tokens)
             break
-        if tok in _TAKES_VALUE:
-            value = next(tokens, None)
-            if value is not None:
-                tok = f"{tok}={value}"
         out.append(tok)
     return out
+
+
+def _collapse_var_runs(tokens):
+    """``tokens`` with each run of glued ``--var=VALUE`` tokens, up to ``--``,
+    cut to its first; and every ``--var`` value before ``--``, in order.
+
+    argparse's option loop takes time quadratic in the number of options
+    given, so the parser sees one ``--var`` per run and the caller puts
+    all the values in ``args.var``.  A run keeps one token, not none, so
+    that argparse reads the positionals and any ``--`` around it as it
+    would read the whole run.
+    """
+    kept, values = [], []
+    rest = iter(tokens)
+    for tok in rest:
+        if tok.startswith("--var="):
+            values.append(tok[6:])
+            if kept and kept[-1].startswith("--var="):
+                continue
+        elif tok == "--":
+            kept.append(tok)
+            kept.extend(rest)
+            break
+        kept.append(tok)
+    return kept, values
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -334,18 +376,25 @@ def _parse_args(argv) -> argparse.Namespace:
     So when ``argv`` names a subcommand, a parser built as ``add_parser``
     builds it (same ``prog``, same options) parses the rest alone, into a
     namespace that starts with ``command`` as the full parse's does: its
-    help, usage lines and errors are the ones the full parse prints.  The
-    full parser is built only for a call that names no subcommand (help,
-    an unknown name, an option first), and for one that leaves an
-    argument over, which it refuses under the top-level usage line.
+    help, usage lines and errors are the ones the full parse prints.
+    That parser gets one ``--var`` token for each run of them (see
+    ``_collapse_var_runs``); ``args.var`` then holds every ``--var``
+    value in argv order, which is what argparse would have appended.
+    The full parser is built only for a call that names no subcommand
+    (help, an unknown name, an option first), and for one that leaves an
+    argument over, which it refuses under the top-level usage line; it
+    gets every token.
     """
     joined = _join_option_values(argv)
     name = joined[0] if joined else None
     if name in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"relival {name}", allow_abbrev=False)
         _add_arguments(parser, name)
-        args, extras = parser.parse_known_args(joined[1:], argparse.Namespace(command=name))
+        tokens, values = _collapse_var_runs(joined[1:])
+        args, extras = parser.parse_known_args(tokens, argparse.Namespace(command=name))
         if not extras:
+            if values:
+                args.var = values
             return args
     return _build_parser().parse_args(joined)
 

@@ -718,8 +718,8 @@ MUTANTS = [
     Mutant(
         "a named command's parser accepts left-over arguments",
         "cli.py",
-        "        if not extras:\n            return args\n",
-        "        if True:\n            return args\n",
+        "        if not extras:\n",
+        "        if True:\n",
         tests=(
             "tests/test_cli.py::TestParserTable::test_a_left_over_argument_builds_the_full_parser",
             "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
@@ -738,10 +738,56 @@ MUTANTS = [
     Mutant(
         "a named command's namespace gets command last",
         "cli.py",
-        "args, extras = parser.parse_known_args(joined[1:], argparse.Namespace(command=name))\n",
-        "args, extras = parser.parse_known_args(joined[1:])\n        args.command = name\n",
+        "args, extras = parser.parse_known_args(tokens, argparse.Namespace(command=name))\n",
+        "args, extras = parser.parse_known_args(tokens)\n        args.command = name\n",
         tests=(
             "tests/test_cli.py::TestParserTable::test_parsed_arguments_match_the_parent_parser",
+        ),
+    ),
+    Mutant(
+        "every --var token dropped",
+        "cli.py",
+        '            if kept and kept[-1].startswith("--var="):\n                continue\n',
+        "            continue\n",
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
+        ),
+    ),
+    Mutant(
+        "--var values reversed",
+        "cli.py",
+        "                args.var = values\n",
+        "                args.var = values[::-1]\n",
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_one_var_token_per_run",
+            "tests/test_cli.py::TestParserTable::test_parsed_arguments_match_the_parent_parser",
+        ),
+    ),
+    Mutant(
+        "--var extraction continues past --",
+        "cli.py",
+        '        elif tok == "--":\n            kept.append(tok)\n            kept.extend(rest)\n            break\n',
+        "",
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_one_var_token_per_run",
+        ),
+    ),
+    Mutant(
+        "-- glued to the option before it",
+        "cli.py",
+        '            if value == "--":\n                out.append(tok)\n                tok = value\n            elif value is not None:\n',
+        "            if value is not None:\n",
+        tests=(
+            "tests/test_cli.py::TestLeadingDashValues::test_double_dash_is_never_a_value",
+        ),
+    ),
+    Mutant(
+        "a user-glued --opt=-- kept whole",
+        "cli.py",
+        '        elif tok.endswith("=--") and tok[:-3] in _TAKES_VALUE:\n',
+        "        elif False:\n",
+        tests=(
+            "tests/test_cli.py::TestLeadingDashValues::test_double_dash_is_never_a_value",
         ),
     ),
     Mutant(

@@ -523,6 +523,31 @@ class TestArgumentErrors:
             main([])
 
 
+# what each command takes after an n-variable sum's bindings, kept to one step or sample
+_SCALED = {
+    "eval": lambda n: [],
+    "refine": lambda n: ["--at", ",".join(["0.5"] * n), "--steps", "1"],
+    "enclose": lambda n: ["--tol", "1", "--max-boxes", "1"],
+    "check": lambda n: ["--samples", "1"],
+}
+
+
+class TestManyBindings:
+    @pytest.mark.parametrize("command", _SCALED)
+    def test_linear_in_the_number_of_bindings(self, command):
+        # one --var per variable of an n-variable sum, timed at n and 4n: handed one
+        # option per --var, argparse's option loop made every command quadratic
+        # (8000 bindings took 1.6 s in eval, on Python 3.11)
+        def prepare(n):
+            argv = [command, " + ".join(f"x{k}" for k in range(n))]
+            for k in range(n):
+                argv += ["--var", f"x{k}=[0,1]"]
+            argv += _SCALED[command](n)
+            return lambda: run_any(argv)
+
+        assert growth_ratio(prepare, 750) < 8
+
+
 class TestStepsBound:
     def test_largest_step_count_runs(self, capsys):
         code, out, err = run(capsys, "refine", "x", "--var", "x=[0,1]", "--at", "0.5",
@@ -606,6 +631,39 @@ class TestLeadingDashValues:
         code, out, err = run_any(argv)
         assert (code, out) == (2, "")
         assert message in err
+
+    # a passing call of each command, and each option that takes a value
+    DOUBLE_DASH_BASES = {
+        "eval": ("eval", "x", "--var", "x=[0,1]"),
+        "refine": ("refine", "x", "--var", "x=[0,1]", "--at", "0.5"),
+        "enclose": ("enclose", "x", "--var", "x=[0,1]", "--tol", "1"),
+        "check": ("check", "x", "--var", "x=[0,1]"),
+    }
+    DOUBLE_DASH_OPTIONS = [
+        ("eval", "--var"), ("eval", "--mode"), ("refine", "--at"), ("refine", "--steps"),
+        ("refine", "--tol"), ("enclose", "--tol"), ("enclose", "--max-boxes"),
+        ("check", "--samples"), ("check", "--seed"),
+    ]
+
+    def test_double_dash_cases_cover_every_value_option(self):
+        assert {option for _, option in self.DOUBLE_DASH_OPTIONS} == cli._TAKES_VALUE
+
+    @pytest.mark.parametrize("command, option", DOUBLE_DASH_OPTIONS)
+    @pytest.mark.parametrize("glued", [False, True], ids=["apart", "glued"])
+    def test_double_dash_is_never_a_value(self, command, option, glued):
+        # glued as "--tol=--", argparse 3.10-3.12 stored an empty list: a traceback,
+        # or for --mode a run in default mode with exit 0
+        argv = self.DOUBLE_DASH_BASES[command] + ((f"{option}=--",) if glued else (option, "--"))
+        code, out, err = run_any(argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: expected one argument\n")
+
+    def test_double_dash_ends_the_gluing(self):
+        split = ["eval", "x", "--tol", "--", "--at", "1"]
+        assert cli._join_option_values(["eval", "x", "--tol", "--", "--at", "1"]) == split
+        assert cli._join_option_values(["eval", "x", "--tol=--", "--at", "1"]) == split
+        # only a whole "--" value is split off
+        assert cli._join_option_values(["--var=x=--", "--at==--"]) == ["--var=x=--", "--at==--"]
 
     def test_option_without_a_value(self):
         code, out, err = run_any(("refine", "x", "--var", "x=[0,1]", "--at"))
@@ -743,6 +801,9 @@ def _argvs(draw):
     elif command == "check":
         argv += opt("--samples", str(draw(st.integers(-2, 5))))
         argv += opt("--seed", str(draw(st.integers(-9, 9))))
+    if not draw(st.integers(0, 3)):
+        # the options ahead of the expression
+        argv.append(argv.pop(1))
     if not draw(st.integers(0, 7)):
         # a first token that names no subcommand, which argparse refuses
         argv[0] = draw(st.sampled_from(["frobnicate", "Eval", "", "--", "--json", "--at", "-x"]))
@@ -923,6 +984,19 @@ _BATTERY = [
     ("check", "x", "--var", "x=[0,1]", "--samples", "many"),
     ("check", "x", "--var", "x=[0,1]", "--tol", "1"),
     ("check", "x*x", "--var", "x=[0,1]", "--samples", "5", "--seed", "-3"),
+    # --var bindings in runs, which the named subcommand's parser sees one token of
+    ("eval", "--var", "x=[0,1]", "x"),
+    ("eval", "--var", "x=[0,1]", "--var=y=[2,3]", "--var", "z=[4,5]", "x + y + z"),
+    ("eval", "x + y", "--var", "x=[0,1]", "--json", "--var", "y=[2,3]"),
+    ("eval", "x + y", "--var", "y=[2,3]", "--mode", "canonical", "--var=x=[0,1]", "--json"),
+    ("eval", "x", "--var="),
+    ("eval", "x", "--var", "x=[0,1]", "--var", ""),
+    ("eval", "x", "--var", "x=[0,1]", "--"),
+    ("eval", "--var", "x=[0,1]", "--var", "y=[2,3]", "--", "x + y"),
+    ("eval", "--var", "x=[0,1]", "--", "--var=y=[2,3]"),
+    ("eval", "x", "--", "--var", "x=[0,1]"),
+    ("--var", "x=[0,1]", "eval", "x"),
+    ("refine", "--var", "x=[0,1]", "--var", "y=[2,3]", "--at", "0.5,2.5", "--steps", "2", "x*y"),
     # arguments that the named subcommand's parser leaves over, which the full parser refuses
     ("eval", "--var", "x=[0,1]", "--", "x", "y"),
     ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "extra"),
@@ -982,6 +1056,24 @@ class TestParserTable:
         assert (code, out) == (2, "")
         assert err.startswith("usage: relival [-h] {eval,refine,enclose,check} ...\n")
         assert err.endswith("relival: error: unrecognized arguments: extra\n")
+
+    def test_one_var_token_per_run(self, monkeypatch):
+        # a run of --var bindings reaches argparse as its first token; args.var holds
+        # every value in argv order, and nothing after "--" is a binding
+        seen, parse_known_args = [], argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, tokens, namespace):
+            seen.append(list(tokens))
+            return parse_known_args(parser, tokens, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        argv = ["eval", "--var", "z=[4,5]", "--var=x=[0,1]", "--json", "--var", "y=[2,3]",
+                "--var", "w=[6,7]", "--var=v=[8,9]", "--", "--var=u"]
+        args = cli._parse_args(argv)
+        assert seen == [["--var=z=[4,5]", "--json", "--var=y=[2,3]", "--", "--var=u"]]
+        assert args.var == ["z=[4,5]", "x=[0,1]", "y=[2,3]", "w=[6,7]", "v=[8,9]"]
+        assert args.expression == "--var=u"
+        assert vars(args) == _reference_args(argv)[1]
 
     @given(_argvs())
     def test_parsed_arguments_match_the_parent_parser(self, argv):

@@ -23,6 +23,8 @@ from relival.expr import (
     variable_sequence,
 )
 
+from conftest import growth_ratio
+
 
 def ast(source: str):
     e, _ = parse(source)
@@ -463,6 +465,15 @@ class TestQueries:
         assert not occurs_once(ast("x - x"))
         assert not occurs_once(ast("x*y + y*z"))
         assert occurs_once(ast("x + 2"))
+
+    def test_sum_of_distinct_variables_in_linear_time(self):
+        # the command line's input of n bindings comes with an n-variable sum;
+        # timed at n and 4n names
+        def prepare(n):
+            text = " + ".join(f"x{k}" for k in range(n))
+            return lambda: parse(text)
+
+        assert growth_ratio(prepare, 750) < 8
 
     @given(_exprs())
     def test_variable_sequence_has_no_repeats(self, e):
