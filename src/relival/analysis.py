@@ -13,10 +13,10 @@ Both rest on inclusion monotonicity of the interval operations: a
 smaller argument box always yields a result inside the larger box's
 result, so deepening either process cannot lose the true value.
 Both run on bare ``(lo, hi)`` pairs and build ``Interval`` values only
-for what they return.  Refinement shrinks each coordinate's pair, checks
-on the floats that it stays inside the last one and keeps the target,
-and boxes each step once for its sequence; ``check_convergence`` runs
-the pair tape on each box and boxes only the report's enclosure.
+for what they return.  Refinement shrinks each coordinate's pair and
+boxes each step once; the sequence's constructor then proves the nesting
+and the target on the bounds.  ``check_convergence`` runs the pair tape
+on each box and boxes only the report's enclosure.
 Subdivision keeps each piece as the slot list of the box tape and
 evaluates each box it creates once: the root runs the whole tape, and a
 child re-runs only the operations that read its split coordinate,
@@ -56,9 +56,33 @@ __all__ = [
 ]
 
 
+def _nested(boxes: tuple, arity: int) -> bool:
+    """True when every box has ``arity`` coordinates, each inside the one before."""
+    outer = boxes[0].dims
+    if len(outer) != arity:
+        return False
+    for b in boxes[1:]:
+        inner = b.dims
+        if len(inner) != arity:
+            return False
+        for o, i in zip(outer, inner):
+            if o.lo > i.lo or i.hi > o.hi:  # a bound is never NaN
+                return False
+        outer = inner
+    return True
+
+
 @dataclass(frozen=True)
 class RefinementSequence:
-    """Nested boxes all containing a common target point."""
+    """Nested boxes all containing a common target point.
+
+    The constructor proves this on the bounds: every box has the target's
+    arity, each lies inside the one before, and the last holds the target.
+    That suffices, since a point of a box belongs to every box around it.
+    Only a refusal walks the boxes with ``Box.contains``, so that it names
+    the first box without the target (or the first of the wrong arity)
+    before it blames the nesting.
+    """
 
     boxes: "tuple[Box, ...]"
     target: "tuple[float, ...]"
@@ -68,22 +92,14 @@ class RefinementSequence:
         target = _point(self.target)
         if not boxes:
             raise ValueError("a refinement sequence needs at least one box")
-        for b in boxes:
-            if not b.contains(target):
-                raise ValueError("target must belong to every box")
-        for outer, inner in zip(boxes, boxes[1:]):
-            if not inner.is_subset_of(outer):
-                raise ValueError("boxes must be nested, each inside the last")
+        if not (_nested(boxes, len(target)) and boxes[-1].contains(target)):
+            # name the first fault, box by box: a box without the target, then the nesting
+            for b in boxes:
+                if not b.contains(target):
+                    raise ValueError("target must belong to every box")
+            raise ValueError("boxes must be nested, each inside the last")
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "target", target)
-
-    @classmethod
-    def _prechecked(cls, boxes: tuple, target: tuple) -> "RefinementSequence":
-        # for boxes whose nesting and target the caller has checked as it built them
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "boxes", boxes)
-        object.__setattr__(seq, "target", target)
-        return seq
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -126,11 +142,9 @@ def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
 
     The box must be bounded and contain the target; every step halves
     each coordinate's width around the target's coordinate, clamped to
-    stay inside the previous box.  The steps run on ``(lo, hi)`` pairs:
-    each new pair is checked on the floats to lie inside the last one and
-    to hold the target, raising ``RefinementSequence``'s own errors if
-    not, and each step is boxed once.  So the sequence is built without
-    the constructor proving the same again, box by box.
+    stay inside the previous box.  The steps run on ``(lo, hi)`` pairs,
+    each step is boxed once, and ``RefinementSequence``'s constructor
+    proves the nesting and the target, as for any caller.
     """
     t = _point(target)
     if steps < 0:
@@ -142,17 +156,9 @@ def refine_toward(box: Box, target, steps: int) -> RefinementSequence:
     boxes = [box]
     pairs = [(d.lo, d.hi) for d in box.dims]
     for _ in range(steps):
-        shrunk = []
-        for (lo, hi), v in zip(pairs, t):
-            nl, nh = _shrink_coordinate(lo, hi, v)
-            if not lo <= nl <= v <= nh <= hi:
-                if not nl <= v <= nh:
-                    raise ValueError("target must belong to every box")
-                raise ValueError("boxes must be nested, each inside the last")
-            shrunk.append((nl, nh))
-        pairs = shrunk
+        pairs = [_shrink_coordinate(lo, hi, v) for (lo, hi), v in zip(pairs, t)]
         boxes.append(Box(tuple([Interval(nl, nh) for nl, nh in pairs])))
-    return RefinementSequence._prechecked(tuple(boxes), t)
+    return RefinementSequence(tuple(boxes), t)
 
 
 def check_convergence(

@@ -47,7 +47,7 @@ from math import inf
 
 from .analysis import check_convergence, refine_toward, subdivide_enclosure
 from .expr import ParseError, parse, variable_sequence
-from .interval import Box, format_interval, hull_bounds, parse_interval
+from .interval import Box, Interval, format_interval, hull_bounds, parse_interval
 from .rounding import _WHITESPACE, _exact_value
 # sample_inclusion goes unused here: the benchmark tracer patches it in this module's
 # namespace, so it must stay bound
@@ -225,12 +225,11 @@ def _cmd_check(args) -> int:
         raise _CliError(5, "check needs nonempty variable intervals")
     if not box.is_bounded:
         raise _CliError(5, "check needs bounded variable intervals")
-    iv = eval_interval(e, interp, box)
-    violations, defined = _sample(e, interp, box, args.samples, args.seed, (iv.lo, iv.hi))
+    result, violations, defined = _sample(e, interp, box, args.samples, args.seed)
     if not defined:
         # no sampled point had a value to compare: zero violations would prove nothing
         raise _CliError(5, "the expression is undefined at every sampled point; nothing was checked")
-    text = format_interval(iv)
+    text = format_interval(Interval(*result))
     lines = (f"result: {text}", f"violations: {violations}")
     _emit(args, result=text, violations=violations, text_lines=lines)
     return 0 if violations == 0 else 1

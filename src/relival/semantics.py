@@ -94,17 +94,24 @@ _LOWEST = -MAX_FLOAT
 
 @dataclass(frozen=True)
 class RealResult:
-    """Outcome of a point evaluation: a finite value, or undefined."""
+    """Outcome of a point evaluation: a finite value, or undefined.
+
+    ``RealResult()`` (value None) is undefined.  Any other value must be a
+    finite real, or ValueError is raised; it is stored as a float, and
+    ``-0.0`` as ``0.0``, since the two are the same real.
+    """
 
     value: "float | None" = None
 
+    def __post_init__(self):
+        v = self.value
+        if v is not None:
+            if not _LOWEST <= v <= MAX_FLOAT:
+                raise ValueError("defined results must be finite reals")
+            object.__setattr__(self, "value", float(v) + 0.0)  # -0.0 + 0.0 is 0.0
+
     @classmethod
     def defined(cls, v: float) -> "RealResult":
-        if not _LOWEST <= v <= MAX_FLOAT:
-            raise ValueError("defined results must be finite reals")
-        v = float(v)
-        if v == 0.0:
-            v = 0.0  # -0.0 and 0.0 are the same real
         return cls(v)
 
     @property
@@ -303,26 +310,25 @@ def sample_inclusion(e: Expr, interp: Interpretation, box: Box, samples: int = 1
     value.  At least one sample is
     needed: zero would check nothing and still report no violations.
     """
-    return _sample(e, interp, box, samples, seed)[0]
+    return _sample(e, interp, box, samples, seed)[1]
 
 
-def _sample(e: Expr, interp: Interpretation, box, samples: int, seed: int, result=None) -> "tuple[int, int]":
-    """``sample_inclusion``'s count and the number of samples where ``e`` is
-    defined, as ``(violations, defined)``.  ``result`` is the box
-    evaluation's ``(lo, hi)`` for a caller that has it already; by default
-    the pair tape computes it."""
+def _sample(e: Expr, interp: Interpretation, box, samples: int, seed: int) -> "tuple[tuple, int, int]":
+    """The box evaluation's ``(lo, hi)`` pair, ``sample_inclusion``'s count and
+    the number of samples where ``e`` is defined, as ``(result, violations,
+    defined)``.  The pair tape runs over every box that is not refused,
+    so an empty box, bounded or not, gets its result too, with no samples."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
     dims = _box_dims(e, box)
-    if any(d.is_empty for d in dims):
-        return 0, 0
-    for d in dims:
-        if not d.is_bounded:
-            raise ValueError("inclusion sampling needs a bounded box")
-    if result is None:
-        _, ops = _pair_tape(e, interp)
-        result = _run(ops, [(d.lo, d.hi) for d in dims])
-    lo, hi = result  # every value lies outside an empty result, such as (inf, -inf)
+    empty = any(d.is_empty for d in dims)
+    if not empty and not all(d.is_bounded for d in dims):
+        raise ValueError("inclusion sampling needs a bounded box")
+    _, ops = _pair_tape(e, interp)
+    # every value lies outside an empty result, such as (inf, -inf)
+    result = lo, hi = _run(ops, [(d.lo, d.hi) for d in dims])
+    if empty:
+        return result, 0, 0
     run = _compile_columns(e, interp)
     # uniform(lo, hi) is lo + (hi - lo) * random(); the width is computed once.  A width
     # past MAX_FLOAT overflows, and then lo < 0 < hi: lo * (1 - r) + hi * r adds a term in
@@ -342,7 +348,7 @@ def _sample(e: Expr, interp: Interpretation, box, samples: int, seed: int, resul
         finite = [v for v in values if _LOWEST <= v <= MAX_FLOAT]
         defined += len(finite)
         violations += len([v for v in finite if v < lo or hi < v])
-    return violations, defined
+    return result, violations, defined
 
 
 def _kernel(f: Callable) -> Callable:

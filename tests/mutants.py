@@ -372,24 +372,43 @@ MUTANTS = [
             "tests/test_analysis.py::TestSubdivide::test_the_second_child_takes_over_its_parents_list",
         ),
     ),
-    # refinement over (lo, hi) pairs
+    # refinement: one constructor proves every sequence
     Mutant(
-        "the float check refuses a step that keeps a bound",
+        "the nesting test strict on a lower bound",
         "analysis.py",
-        "if not lo <= nl <= v <= nh <= hi:",
-        "if not lo < nl <= v <= nh <= hi:",
+        "if o.lo > i.lo or i.hi > o.hi:",
+        "if o.lo >= i.lo or i.hi > o.hi:",
         tests=(
             "tests/test_analysis.py::TestRefineToward::test_clamps_at_the_boundary",
-            "tests/test_analysis.py::TestRefineDifferential::test_matches_the_previous_loop",
         ),
     ),
     Mutant(
-        "the float check without the target",
+        "the sequence's containment read off its first box",
         "analysis.py",
-        "if not lo <= nl <= v <= nh <= hi:",
-        "if not lo <= nl <= nh <= hi:",
+        "and boxes[-1].contains(target)):",
+        "and boxes[0].contains(target)):",
         tests=(
-            "tests/test_analysis.py::TestRefineToward::test_each_step_is_checked_on_the_floats",
+            "tests/test_analysis.py::TestRefinementSequence::test_target_must_be_inside_every_box",
+        ),
+    ),
+    Mutant(
+        "a refused sequence reports the nesting before the target",
+        "analysis.py",
+        "            for b in boxes:\n                if not b.contains(target):",
+        "            if not _nested(boxes, len(target)):\n"
+        '                raise ValueError("boxes must be nested, each inside the last")\n'
+        "            for b in boxes:\n                if not b.contains(target):",
+        tests=(
+            "tests/test_analysis.py::TestRefinementSequence::test_a_lost_target_is_named_before_the_nesting",
+        ),
+    ),
+    Mutant(
+        "no arity test on a sequence's inner boxes",
+        "analysis.py",
+        "        inner = b.dims\n        if len(inner) != arity:\n            return False\n",
+        "        inner = b.dims\n",
+        tests=(
+            "tests/test_analysis.py::TestSequenceConstructorDifferential::test_same_verdicts_as_the_box_walk",
         ),
     ),
     Mutant(
@@ -666,6 +685,50 @@ MUTANTS = [
         "return add_down(c, -b), add_up(d, -a)",
         tests=(
             "tests/test_interval.py::TestAddSub::test_sub_cases",
+        ),
+    ),
+    Mutant(
+        "_add's upper bound rounds to nearest",
+        "interval.py",
+        "return add_down(a, c), add_up(b, d)",
+        "return add_down(a, c), b + d",
+        tests=(
+            "tests/test_edge_grid.py::test_kernels_on_empty_and_unbounded_operands",
+            "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[+]",
+            "tests/test_interval.py::TestAddSub::test_sub_is_add_of_negation",
+        ),
+    ),
+    Mutant(
+        "RealResult's constructor without its range test",
+        "semantics.py",
+        '            if not _LOWEST <= v <= MAX_FLOAT:\n                raise ValueError("defined results must be finite reals")\n',
+        "",
+        tests=(
+            "tests/test_semantics.py::TestRealResult::test_the_constructor_refuses_what_defined_refuses",
+        ),
+    ),
+    Mutant(
+        "_sample returns the first coordinate for the box evaluation",
+        "semantics.py",
+        "    return result, violations, defined",
+        "    return (dims[0].lo, dims[0].hi), violations, defined",
+        tests=(
+            "tests/test_cli.py::TestCheck::test_clean_run",
+            "tests/test_cli.py::TestCheck::test_coordinate_wider_than_max_float",
+        ),
+    ),
+    Mutant(
+        "_sample evaluates an unbounded box before refusing it",
+        "semantics.py",
+        "    if not empty and not all(d.is_bounded for d in dims):\n"
+        '        raise ValueError("inclusion sampling needs a bounded box")\n'
+        "    _, ops = _pair_tape(e, interp)\n",
+        "    _, ops = _pair_tape(e, interp)\n"
+        "    _run(ops, [(d.lo, d.hi) for d in dims])\n"
+        "    if not empty and not all(d.is_bounded for d in dims):\n"
+        '        raise ValueError("inclusion sampling needs a bounded box")\n',
+        tests=(
+            "tests/test_oracle.py::TestSampleInclusion::test_an_unbounded_box_is_refused_before_it_is_evaluated",
         ),
     ),
     Mutant(

@@ -93,7 +93,7 @@ def _criterion_1() -> str:
         for i in range(10_000):
             e, box = random_case(rng, max_depth=5, max_vars=4)
             # sample_inclusion's count, with the samples where e is defined: only those compare
-            v, d = _sample(e, INTERP, box, 100, i)
+            _, v, d = _sample(e, INTERP, box, 100, i)
             violations += v
             defined += d
             if i % 100 == 0:

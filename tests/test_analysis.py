@@ -7,7 +7,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relival import analysis
@@ -25,6 +25,7 @@ from relival.rounding import MAX_FLOAT
 from relival.semantics import (
     Interpretation,
     _pair_tape,
+    _point,
     _run,
     compile_interval,
     compile_real,
@@ -65,6 +66,11 @@ class TestRefinementSequence:
     def test_boxes_must_nest(self):
         with pytest.raises(ValueError):
             RefinementSequence((box1(0, 1), box1(0, 2)), (0.5,))
+
+    def test_a_lost_target_is_named_before_the_nesting(self):
+        # [2,3] escapes [0,1] and loses 0.5; the last box nests in neither and holds 0.5
+        with pytest.raises(ValueError, match="^target must belong to every box$"):
+            RefinementSequence((box1(0, 1), box1(2, 3), box1(0.4, 0.6)), (0.5,))
 
     def test_target_past_the_float_range_is_refused(self):
         # float(10**400) raises OverflowError; the target is refused like eval_real's point
@@ -149,18 +155,6 @@ class TestRefineToward:
         monkeypatch.setattr(analysis, "_shrink_coordinate", lambda lo, hi, t: shrunk)
         with pytest.raises(ValueError, match=f"^{message}$"):
             refine_toward(box1(0, 1), (0.75,), 1)
-
-    def test_the_sequence_is_not_proved_again(self, monkeypatch):
-        # refine_toward checks each step as it builds it; the public constructor still checks
-        def refuse(self):
-            raise AssertionError("RefinementSequence.__post_init__ reached")
-
-        monkeypatch.setattr(RefinementSequence, "__post_init__", refuse)
-        seq = refine_toward(box1(0, 2), (0.5,), 3)
-        assert seq.boxes[-1][0] == Interval(0.375, 0.625)
-        assert isinstance(seq.boxes, tuple) and seq.target == (0.5,)
-        with pytest.raises(AssertionError, match="reached"):
-            RefinementSequence(seq.boxes, seq.target)
 
     @pytest.mark.parametrize("target", [MAX_FLOAT, -MAX_FLOAT])
     def test_target_at_the_edge_of_the_float_range(self, target):
@@ -632,8 +626,8 @@ def _reference_shrink(iv, t):
 
 
 def _reference_refine(box, target, steps):
-    """``refine_toward`` as it was: a box of intervals per step, and the public
-    constructor proving nesting and the target again."""
+    """``refine_toward`` as it was: a box of intervals per step, each shrunk by
+    ``_reference_shrink``."""
     t = tuple(float(v) for v in target)
     assert steps >= 0 and box.is_bounded and box.contains(t)
     boxes = [box]
@@ -683,6 +677,85 @@ def _assert_refines_as_before(box, target, steps):
     assert repr(got.boxes) == repr(want.boxes)
     assert repr(got.target) == repr(want.target)
     assert RefinementSequence(got.boxes, got.target) == got
+
+
+def _reference_sequence(boxes, target):
+    """``RefinementSequence``'s check as it was: ``Box.contains`` on every box,
+    then ``Box.is_subset_of`` on each neighbouring pair."""
+    boxes = tuple(boxes)
+    target = _point(target)
+    if not boxes:
+        raise ValueError("a refinement sequence needs at least one box")
+    for b in boxes:
+        if not b.contains(target):
+            raise ValueError("target must belong to every box")
+    for outer, inner in zip(boxes, boxes[1:]):
+        if not inner.is_subset_of(outer):
+            raise ValueError("boxes must be nested, each inside the last")
+    return boxes, target
+
+
+_SEQUENCE_BOUNDS = [-INF, -2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, INF]
+
+
+@st.composite
+def _sequence(draw):
+    """0-4 boxes of arity 0-3 over a few bounds, and a target that may be NaN
+    or infinite.  Half the coordinates are drawn inside the last box's and
+    around the target's, and a quarter around the target's only, so that
+    every verdict is reached.  One
+    case in four is ragged: each box, and the target, takes an arity of its
+    own."""
+    arity = draw(st.integers(0, 3))
+    ragged = draw(st.sampled_from([False, False, False, True]))
+    arities = st.integers(0, 3) if ragged else st.just(arity)
+    target = draw(st.lists(st.sampled_from(_SEQUENCE_BOUNDS + [math.nan]),
+                           min_size=draw(arities), max_size=3 if ragged else arity))
+    boxes = []
+    for _ in range(draw(st.sampled_from([1, 2, 3, 4, 0]))):
+        dims = []
+        for k in range(draw(arities)):
+            lows = highs = _SEQUENCE_BOUNDS
+            how = draw(st.sampled_from(["fit", "fit", "around", "free"]))
+            if how == "fit" and boxes and k < boxes[-1].arity:  # inside the last box's coordinate
+                outer = boxes[-1][k]
+                lows = [b for b in lows if b >= outer.lo]
+                highs = [b for b in highs if b <= outer.hi]
+            if how != "free" and k < len(target):  # and around the target's, where both can be had
+                lows = [b for b in lows if b <= target[k]] or lows
+                highs = [b for b in highs if b >= target[k]] or highs
+            dims.append(Interval(draw(st.sampled_from(lows)), draw(st.sampled_from(highs))))
+        boxes.append(Box(tuple(dims)))
+    return boxes, target
+
+
+def _outcome(make, boxes, target):
+    try:
+        result = make(boxes, target)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return repr(result)
+
+
+class TestSequenceConstructorDifferential:
+    """The bound-by-bound constructor against the ``Box``-based one it replaced:
+    the same sequences accepted, and the same exception and message for the rest."""
+
+    @given(_sequence())
+    @example(([box1(0, 2), box1(0, 1)], [0.5]))
+    @example(([box1(0, 1), box1(2, 3), box1(0.4, 0.6)], [0.5]))
+    @example(([Box((Interval(0, 2), Interval(0, 2))), box1(0, 1), Box((Interval(0, 1), Interval(0, 1)))], [0.5, 0.5]))
+    @example(([Box((Interval(0, 2), Interval(0, 2))), box1(0, 1)], [0.5, 0.5]))
+    @example(([box1(0, 1), box1(0, 1)], [math.nan]))
+    @settings(max_examples=500)
+    def test_same_verdicts_as_the_box_walk(self, case):
+        boxes, target = case
+
+        def new(boxes, target):
+            seq = RefinementSequence(boxes, target)
+            return seq.boxes, seq.target
+
+        assert _outcome(new, boxes, target) == _outcome(_reference_sequence, boxes, target)
 
 
 class TestRefineDifferential:
