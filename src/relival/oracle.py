@@ -10,14 +10,16 @@ enumeration.  Oracle results use ``RationalInterval``: Fraction bounds in
 for the empty set), so comparisons against the engine are exact and then
 judged in float ULP steps.
 
-Random case generators draw expressions with matching boxes, and a
-plain-text manifest format records test cases (one per line, fields
-tab-separated: seed, expression, box, check name) so fixed corpora can
-be committed and replayed.  ``sample_inclusion``, the sampler behind
-``relival check``, runs the engine's own point evaluation, so it lives in
-``semantics`` and is re-exported here.  The package loads this module
-only on first use of one of its names, so the command line never
-imports it.
+Random case generators draw expressions with matching boxes.  One tree
+builder serves both case diets of ``random_case``; a table gives each
+diet its thresholds, the kinds they pick, its infix operations and the
+kinds whose operand is a positive variable.  A plain-text manifest
+format records test cases (one per line, fields tab-separated: seed,
+expression, box, check name) so fixed corpora can be committed and
+replayed.  ``sample_inclusion``, the sampler behind ``relival check``,
+runs the engine's own point evaluation, so it lives in ``semantics`` and
+is re-exported here.  The package loads this module only on first use of
+one of its names, so the command line never imports it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import itertools
 import math
 import operator
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -71,7 +74,8 @@ class RationalInterval:
         return cls(lo, hi)
 
     def contains(self, q) -> bool:
-        return self.lo <= Fraction(q) <= self.hi
+        # as for ``member``, NaN (the one value unequal to itself) and the infinities never belong
+        return q == q and q not in (math.inf, -math.inf) and self.lo <= Fraction(q) <= self.hi
 
     def is_inside(self, iv: Interval) -> bool:
         """Exact test that every member of self belongs to the float interval."""
@@ -109,10 +113,8 @@ def _sqrt_bracket(q: Fraction):
     return lo, Fraction(s + 1, den)
 
 
-def _div_oracle(x: Interval, y: Interval) -> RationalInterval:
+def _div_oracle(xlo: Fraction, xhi: Fraction, ylo: Fraction, yhi: Fraction) -> RationalInterval:
     # solution set of z*y = x over exact rationals
-    xlo, xhi = Fraction(x.lo), Fraction(x.hi)
-    ylo, yhi = Fraction(y.lo), Fraction(y.hi)
     zero_in_x = xlo <= 0 <= xhi
     zero_in_y = ylo <= 0 <= yhi
     if ylo == 0 and yhi == 0:
@@ -122,9 +124,7 @@ def _div_oracle(x: Interval, y: Interval) -> RationalInterval:
         return RATIONAL_REALS
     # witnesses with y != 0: the corner quotients, which bound the hull exactly, since
     # a / b is monotone in each argument while b keeps one sign
-    xs = [xlo, xhi]
-    ys = [v for v in (ylo, yhi) if v != 0]
-    candidates = [a / b for a in xs for b in ys]
+    candidates = [a / b for a in (xlo, xhi) for b in (ylo, yhi) if b != 0]
     # an endpoint at zero with the other side nonzero still witnesses z=0
     if zero_in_x:
         candidates.append(Fraction(0))
@@ -140,52 +140,52 @@ def _div_oracle(x: Interval, y: Interval) -> RationalInterval:
 def relational_oracle(op: str, x: Interval, y: "Interval | None" = None) -> RationalInterval:
     """Recompute one operation from its defining relation, exactly.
 
-    Operands must be bounded (the result may still be unbounded: division
-    by a range through zero reports its absent bounds as ``-inf``/``inf``).
-    The result is attained by witnesses, so it is always a subset of the
-    true relational answer; for ``+ - * / neg abs`` it is
-    the exact hull, for the roots it is exact on perfect squares and an
-    inner approximation within 2**-200 otherwise.
+    ``y`` is given for the binary operations ``+ - * /`` and only for
+    them.  Operands must be bounded (the result may still be unbounded:
+    division by a range through zero reports its absent bounds as
+    ``-inf``/``inf``).  The result is attained by witnesses, so it is
+    always a subset of the true relational answer; for ``+ - * / neg abs``
+    it is the exact hull, for the roots it is exact on perfect squares and
+    an inner approximation within 2**-200 otherwise.
     """
+    binary = op in _CORNER_BINARY or op == "/"
+    if not binary and op not in ("neg", "abs", "sqrt", "sqrtr"):
+        raise ValueError(f"no oracle for operation {op!r}")
+    if binary != (y is not None):
+        raise ValueError(f"operation {op!r} takes {'two operands' if binary else 'one operand'}")
     _require_bounded(x, "the first operand")
-    if y is not None:
+    if binary:
         _require_bounded(y, "the second operand")
-    if x.is_empty or (y is not None and y.is_empty):
+    if x.is_empty or (binary and y.is_empty):
         return RATIONAL_EMPTY
-    if op in _CORNER_BINARY:
+    xlo, xhi = Fraction(x.lo), Fraction(x.hi)
+    if binary:
+        ylo, yhi = Fraction(y.lo), Fraction(y.hi)
+        if op == "/":
+            return _div_oracle(xlo, xhi, ylo, yhi)
         # for "-", z + y = x, so z ranges over corner differences
         f = _CORNER_BINARY[op]
-        xs, ys = (Fraction(x.lo), Fraction(x.hi)), (Fraction(y.lo), Fraction(y.hi))
-        vals = [f(a, b) for a in xs for b in ys]
+        vals = [f(a, b) for a in (xlo, xhi) for b in (ylo, yhi)]
         return RationalInterval(min(vals), max(vals))
-    if op == "/":
-        return _div_oracle(x, y)
     if op == "neg":
-        return RationalInterval(-Fraction(x.hi), -Fraction(x.lo))
+        return RationalInterval(-xhi, -xlo)
     if op == "abs":
-        xlo, xhi = Fraction(x.lo), Fraction(x.hi)
         if xlo >= 0:
             return RationalInterval(xlo, xhi)
         if xhi <= 0:
             return RationalInterval(-xhi, -xlo)
         return RationalInterval(Fraction(0), max(xhi, -xlo))
+    if xhi < 0:
+        return RATIONAL_EMPTY
+    hi_inner, _ = _sqrt_bracket(xhi)
     if op == "sqrtr":
         # y*y = x: symmetric pair of roots of the largest admissible radicand
-        if x.hi < 0:
-            return RATIONAL_EMPTY
-        r, _ = _sqrt_bracket(Fraction(x.hi))
-        return RationalInterval(-r, r)
-    if op == "sqrt":
-        # image of the nonnegative branch
-        if x.hi < 0:
-            return RATIONAL_EMPTY
-        hi_inner, _ = _sqrt_bracket(Fraction(x.hi))
-        if x.lo <= 0:
-            return RationalInterval(Fraction(0), hi_inner)
-        _, lo_outer = _sqrt_bracket(Fraction(x.lo))
-        lo_outer = min(lo_outer, hi_inner)
-        return RationalInterval(lo_outer, hi_inner)
-    raise ValueError(f"no oracle for operation {op!r}")
+        return RationalInterval(-hi_inner, hi_inner)
+    # sqrt: image of the nonnegative branch
+    if xlo <= 0:
+        return RationalInterval(Fraction(0), hi_inner)
+    _, lo_outer = _sqrt_bracket(xlo)
+    return RationalInterval(min(lo_outer, hi_inner), hi_inner)
 
 
 _CORNER_OPS = {*_CORNER_BINARY, "neg"}
@@ -233,60 +233,50 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
     return RationalInterval(best_lo, best_hi)
 
 
-def _build_tree(rng: random.Random, depth: int, pool, positive, continuous: bool) -> Expr:
+# each case diet: (thresholds, kinds, infix operations, guarded kinds).  A node's
+# draw r below the k-th threshold takes the k-th kind, and a larger one an infix
+# operation on two subtrees.  A guarded kind's operand (sqrt's radicand, the
+# divisor of "/") is a positive variable drawn from the pool, not a subtree.
+_DIETS = {
+    False: ((0.10, 0.20, 0.28, 0.36), ("neg", "abs", "sqrt", "sqrtr"), ("+", "-", "*", "/", "+", "-", "*"), ()),
+    True: ((0.18, 0.30, 0.40, 0.52), ("neg", "abs", "sqrt", "/"), ("+", "-", "*"), ("sqrt", "/")),
+}
+
+
+def _build_tree(rng: random.Random, depth: int, pool, positive: set, diet) -> Expr:
     if depth <= 1 or rng.random() < 0.3:
         return Var(rng.choice(pool))
-    r = rng.random()
-    if continuous:
-        if r < 0.18:
-            return Unary("neg", _build_tree(rng, depth - 1, pool, positive, continuous))
-        if r < 0.30:
-            return Unary("abs", _build_tree(rng, depth - 1, pool, positive, continuous))
-        if r < 0.40:
-            name = rng.choice(pool)
-            positive.add(name)
-            return Unary("sqrt", Var(name))
-        if r < 0.52:
-            name = rng.choice(pool)
-            positive.add(name)
-            num = _build_tree(rng, depth - 1, pool, positive, continuous)
-            return Binary("/", num, Var(name))
-        op = rng.choice(("+", "-", "*"))
-        return Binary(
-            op,
-            _build_tree(rng, depth - 1, pool, positive, continuous),
-            _build_tree(rng, depth - 1, pool, positive, continuous),
-        )
-    if r < 0.10:
-        return Unary("neg", _build_tree(rng, depth - 1, pool, positive, continuous))
-    if r < 0.20:
-        return Unary("abs", _build_tree(rng, depth - 1, pool, positive, continuous))
-    if r < 0.28:
-        return Unary("sqrt", _build_tree(rng, depth - 1, pool, positive, continuous))
-    if r < 0.36:
-        return Unary("sqrtr", _build_tree(rng, depth - 1, pool, positive, continuous))
-    op = rng.choice(("+", "-", "*", "/", "+", "-", "*"))
-    return Binary(
-        op,
-        _build_tree(rng, depth - 1, pool, positive, continuous),
-        _build_tree(rng, depth - 1, pool, positive, continuous),
-    )
+    thresholds, kinds, infix, guarded = diet
+    k = bisect_right(thresholds, rng.random())
+    if k == len(kinds):
+        op = rng.choice(infix)
+        left = _build_tree(rng, depth - 1, pool, positive, diet)
+        return Binary(op, left, _build_tree(rng, depth - 1, pool, positive, diet))
+    op = kinds[k]
+    if op not in guarded:
+        return Unary(op, _build_tree(rng, depth - 1, pool, positive, diet))
+    name = rng.choice(pool)
+    positive.add(name)
+    if op == "sqrt":
+        return Unary(op, Var(name))
+    return Binary(op, _build_tree(rng, depth - 1, pool, positive, diet), Var(name))
 
 
 def random_case(rng: random.Random, max_depth: int = 5, max_vars: int = 4, continuous: bool = False):
     """Random expression with a matching bounded box; returns (expr, box).
 
-    With ``continuous=True`` the draw avoids discontinuity sources:
-    division and sqrt apply only to variables whose boxes stay inside
-    [1/4, 4], so evaluation is Lipschitz on the box and shrinking boxes
-    give shrinking results.  Without it, anything goes (division through
-    zero, roots of negative ranges), which is the right diet for
-    totality and inclusion checks.
+    ``continuous`` picks one of two diets in ``_DIETS``, which one tree
+    builder draws from.  With ``continuous=True`` the draw avoids
+    discontinuity sources: division and sqrt apply only to variables
+    whose boxes stay inside [1/4, 4], so evaluation is Lipschitz on the
+    box and shrinking boxes give shrinking results.  Without it, anything
+    goes (division through zero, roots of negative ranges), which is the
+    right diet for totality and inclusion checks.
     """
     nvars = rng.randint(1, max_vars)
     pool = [f"x{i}" for i in range(nvars)]
     positive: set = set()
-    e = _build_tree(rng, max_depth, pool, positive, continuous)
+    e = _build_tree(rng, max_depth, pool, positive, _DIETS[bool(continuous)])
     dims = []
     for name in variable_sequence(e):
         if name in positive:

@@ -972,6 +972,56 @@ MUTANTS = [
         equivalent="Fraction(p, 0) raises ZeroDivisionError, an ArithmeticError, which the "
         "reader refuses with the same message as a grammar miss",
     ),
+    # the oracle, which every soundness and tightness check is judged against
+    Mutant(
+        "a continuous-diet threshold moved",
+        "oracle.py",
+        "(0.18, 0.30, 0.40, 0.52)",
+        "(0.18, 0.30, 0.40, 0.50)",
+        tests=(
+            "tests/test_oracle.py::TestCaseGeneration::test_draws_are_pinned",
+        ),
+    ),
+    Mutant(
+        "a guarded operand left out of the positive variables",
+        "oracle.py",
+        "    positive.add(name)\n",
+        "",
+        tests=(
+            "tests/test_oracle.py::TestCaseGeneration::test_positive_variables_for_continuous_cases",
+            "tests/test_acceptance.py::test_criterion_5_nested_convergence",
+        ),
+    ),
+    Mutant(
+        "divisors through zero from above missed",
+        "oracle.py",
+        "pos_near_zero = yhi > 0 and ylo <= 0",
+        "pos_near_zero = yhi > 0 and ylo < 0",
+        tests=(
+            "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[/]",
+            "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[/c]",
+            "tests/test_acceptance.py::test_criterion_4_relational_case_tables",
+        ),
+    ),
+    Mutant(
+        "root of a non-square point unclamped",
+        "oracle.py",
+        "RationalInterval(min(lo_outer, hi_inner), hi_inner)",
+        "RationalInterval(lo_outer, hi_inner)",
+        tests=(
+            "tests/test_oracle.py::TestRelationalOracle::test_root_of_a_non_square_point_is_one_point",
+        ),
+    ),
+    Mutant(
+        "relational oracle skips its operand count",
+        "oracle.py",
+        "    if binary != (y is not None):\n"
+        "        raise ValueError(f\"operation {op!r} takes {'two operands' if binary else 'one operand'}\")\n",
+        "",
+        tests=(
+            "tests/test_oracle.py::TestRelationalOracle::test_symbol_and_operand_count_checked_first",
+        ),
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 """Rational oracles, sampling checks, and case generation."""
 
 import dataclasses
+import hashlib
 import math
 import pathlib
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relival.expr import parse, to_source, variable_sequence
+from relival.expr import Binary, Unary, Var, _postorder, parse, to_source, variable_sequence
 from relival.interval import (
     EMPTY, REALS, Box, Interval, div, member, midpoint, mul, sqrt_canonical, sqrt_rel, subset
 )
@@ -70,6 +71,13 @@ class TestRationalInterval:
 
     def test_reals_contains_everything(self):
         assert RATIONAL_REALS.contains(Fraction(-(10**20)))
+
+    @pytest.mark.parametrize("q", [INF, -INF, math.nan])
+    def test_non_reals_are_never_members(self, q):
+        # as for member: the infinities themselves and NaN belong to no set
+        assert not RATIONAL_REALS.contains(q)
+        assert not RationalInterval(Fraction(0), INF).contains(q)
+        assert not RATIONAL_EMPTY.contains(q)
 
     def test_from_interval_is_exact(self):
         r = RationalInterval.from_interval(Interval(0.1, 0.2))
@@ -255,6 +263,12 @@ class TestRelationalOracle:
         got = relational_oracle("sqrtr", Interval(0, 2))
         assert got.lo == -got.hi and got.hi**2 <= 2 < (got.hi + gap) ** 2
 
+    def test_root_of_a_non_square_point_is_one_point(self):
+        # sqrt(2)'s outer bracket lies above its inner one: the lower bound is clamped to the upper
+        got = relational_oracle("sqrt", Interval(2, 2))
+        assert got.lo == got.hi and got.lo**2 < 2
+        assert got.is_inside(sqrt_canonical(Interval(2, 2)))
+
     def test_sqrt_relational_both_branches(self):
         got = relational_oracle("sqrtr", Interval(4, 9))
         assert (got.lo, got.hi) == (Fraction(-3), Fraction(3))
@@ -278,9 +292,23 @@ class TestRelationalOracle:
         with pytest.raises(ValueError):
             relational_oracle("+", Interval(0, INF), Interval(0, 1))
 
-    def test_unknown_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            relational_oracle("**", Interval(0, 1), Interval(0, 1))
+    @pytest.mark.parametrize(
+        "op, x, y, message",
+        [
+            ("**", Interval(0, 1), Interval(0, 1), "no oracle for operation"),
+            ("**", EMPTY, EMPTY, "no oracle for operation"),  # the symbol before the empty shortcut
+            ("**", Interval(0, 1), None, "no oracle for operation"),
+            ("+", Interval(0, 1), None, "takes two operands"),
+            ("/", Interval(0, 1), None, "takes two operands"),
+            ("*", EMPTY, None, "takes two operands"),
+            ("neg", Interval(0, 1), Interval(2, 3), "takes one operand"),
+            ("sqrt", Interval(0, 4), Interval(-1, 1), "takes one operand"),
+            ("abs", EMPTY, EMPTY, "takes one operand"),
+        ],
+    )
+    def test_symbol_and_operand_count_checked_first(self, op, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            relational_oracle(op, x, y)
 
     @pytest.mark.parametrize(
         "op, x, y",
@@ -533,16 +561,43 @@ class TestChunkedSampling:
 
 class TestCaseGeneration:
     def test_positive_variables_for_continuous_cases(self):
+        # every sqrt and every divisor takes a variable whose box lies in [1/4, 4]
         rng = random.Random(9)
+        checked = 0
         for _ in range(40):
             e, box = random_case(rng, max_depth=4, continuous=True)
-            src = to_source(e)
-            assert "sqrtr" not in src
-            for name, iv in zip(variable_sequence(e), box):
-                if name.startswith("p"):
-                    assert iv.lo >= 0.25
-                assert iv.is_bounded and not iv.is_empty
-                assert iv.hi > iv.lo
+            assert "sqrtr" not in to_source(e)
+            dims = dict(zip(variable_sequence(e), box))
+            for iv in box:
+                assert iv.is_bounded and iv.hi > iv.lo
+            for node in _postorder(e):
+                if isinstance(node, Unary) and node.op == "sqrt":
+                    guarded = node.child
+                elif isinstance(node, Binary) and node.op == "/":
+                    guarded = node.right
+                else:
+                    continue
+                assert isinstance(guarded, Var)
+                assert 0.25 <= dims[guarded.name].lo and dims[guarded.name].hi <= 4
+                checked += 1
+        assert checked  # 17 on this seed
+
+    def test_draws_are_pinned(self):
+        # both diets at several depths, then single-occurrence draws: any change to a
+        # threshold, a kind or the order of the random calls changes the digest
+        h = hashlib.sha256()
+        for continuous in (False, True):
+            for depth in (1, 2, 4, 5, 7):
+                for seed in range(200):
+                    rng = random.Random(seed)
+                    for _ in range(5):
+                        e, box = random_case(rng, max_depth=depth, continuous=continuous)
+                        h.update(f"{to_source(e)}\t{box}\n".encode())
+        rng = random.Random(0)
+        for _ in range(1000):
+            e, box = random_single_occurrence_case(rng)
+            h.update(f"{to_source(e)}\t{box}\n".encode())
+        assert h.hexdigest() == "b1fcedfb00888c00188e7dcff3b12df84cb720d1fde8be87d1f917643a5372bb"
 
     def test_general_cases_are_bounded(self):
         rng = random.Random(13)
