@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# variable_sequence, hull_union, compile_interval, member, subset and width go unused
-# here: the benchmark tracer patches each of these names in this module's namespace,
-# so each must stay bound
+# variable_sequence, hull_union, member, subset and width go unused here: the
+# benchmark tracer patches each of these names in this module's namespace, so each
+# must stay bound
 from .expr import Expr, variable_sequence
 from .interval import Box, Interval, _midpoint, _pair_width, hull_union, member, midpoint, subset, width
 from .rounding import sub_up
@@ -42,7 +42,6 @@ from .semantics import (
     _pair_tape,
     _point,
     _run,
-    compile_interval,
     compile_real,
 )
 

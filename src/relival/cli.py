@@ -20,11 +20,15 @@ tables, and both the parser and the set of options that take a value
 are read off them.  A call whose first argument names a subcommand
 builds and runs that subcommand's parser alone; the full parser, with
 all four, is built only for a call that names none or that gives an
-argument its subcommand does not take (see ``_parse_args``).  The
-subcommand's parser sees one ``--var`` token for each run of them, so
-that parsing takes time linear in the number of bindings, and every
-``--var`` value reaches ``args.var`` in argv order, as argparse's
-append would put it.
+argument its subcommand does not take (see ``_parse_args``).  argv is
+read in one walk (``_read_argv``) into the one token list both parsers
+read: each value-taking option is glued to its value, everything after
+``--`` is kept as given, and when a subcommand is named each run of
+``--var`` bindings before ``--`` is cut to its first token.  argparse
+takes time quadratic in the number of options it is given, so the cut
+makes parsing linear in the number of bindings; every ``--var`` value
+still reaches ``args.var`` in argv order, as argparse's append would
+put it.
 
 ``--json`` prints strict JSON: an infinite width is the string
 ``"inf"``, as in the text output.  ``--at`` values are number text as
@@ -67,10 +71,7 @@ class _CliError(Exception):
 
 
 def _interpretation(mode):
-    interp = default_interpretation()
-    if mode:
-        interp = mode_select(interp, mode)
-    return interp
+    return mode_select(default_interpretation(), mode) if mode else default_interpretation()
 
 
 def _parse_expression(text: str):
@@ -110,14 +111,12 @@ def _assemble(expr_text: str, var_flags):
     extra = [n for n in bindings if n not in known]
     if extra:
         raise _CliError(3, f"binding(s) for unknown variable(s): {', '.join(extra)}")
-    dims = []
-    for n in names:
-        if n in constants:
-            v = constants[n].value
-            dims.append(hull_bounds(v, v))
-        else:
-            dims.append(bindings[n])
-    return e, names, constants, user_names, Box(tuple(dims))
+    # every binding is a user name's, so a name without one is a constant's
+    box = Box(tuple(
+        bindings[n] if n in bindings else hull_bounds(constants[n].value, constants[n].value)
+        for n in names
+    ))
+    return e, names, constants, user_names, box
 
 
 def _parse_point(at_text: str, names, constants, user_names):
@@ -306,9 +305,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_option_values(argv) -> list:
-    """Glue each value-taking option to the token after it, up to ``--``.
+def _read_argv(argv):
+    """``argv`` read in one walk: the token list both parsers read, and
+    the ``--var`` values it no longer holds in full.
 
+    Each value-taking option is glued to the token after it:
     ``["--at", "-1,2"]`` becomes ``["--at=-1,2"]``, which argparse reads
     as a value; left apart, argparse would read a value that starts with
     ``-`` (other than a plain negative number) as an option.  The options
@@ -318,53 +319,44 @@ def _join_option_values(argv) -> list:
 
     ``--`` is never a value: ``--tol --`` is left apart and ``--tol=--``
     is split into ``--tol`` and ``--``, so that argparse refuses the
-    option as given no value and reads everything after ``--`` as
-    positionals.
-    """
-    out = []
-    tokens = iter(argv)
-    for tok in tokens:
-        if tok in _TAKES_VALUE:
-            value = next(tokens, None)
-            if value == "--":
-                out.append(tok)
-                tok = value
-            elif value is not None:
-                tok = f"{tok}={value}"
-        elif tok.endswith("=--") and tok[:-3] in _TAKES_VALUE:
-            out.append(tok[:-3])
-            tok = "--"
-        if tok == "--":
-            out.append(tok)
-            out.extend(tokens)
-            break
-        out.append(tok)
-    return out
+    option as given no value.  The rest of ``argv`` after ``--`` is kept
+    as it is, for argparse to read as positionals.
 
-
-def _collapse_var_runs(tokens):
-    """``tokens`` with each run of glued ``--var=VALUE`` tokens, up to ``--``,
-    cut to its first; and every ``--var`` value before ``--``, in order.
-
+    When ``argv[0]`` names a subcommand, each run of glued
+    ``--var=VALUE`` tokens before ``--`` is cut to its first token, and
+    every ``--var`` value before ``--`` is returned, in order.
     argparse's option loop takes time quadratic in the number of options
     given, so the parser sees one ``--var`` per run and the caller puts
     all the values in ``args.var``.  A run keeps one token, not none, so
     that argparse reads the positionals and any ``--`` around it as it
-    would read the whole run.
+    would read the whole run.  With no subcommand named no run is cut,
+    and the full parser's refusal lists every ``--var`` token.
     """
-    kept, values = [], []
-    rest = iter(tokens)
+    tokens, values = [], []
+    cut = bool(argv) and argv[0] in _COMMANDS
+    rest = iter(argv)
     for tok in rest:
-        if tok.startswith("--var="):
-            values.append(tok[6:])
-            if kept and kept[-1].startswith("--var="):
-                continue
-        elif tok == "--":
-            kept.append(tok)
-            kept.extend(rest)
+        if tok in _TAKES_VALUE:
+            value = next(rest, None)
+            if value == "--":
+                tokens.append(tok)
+                tok = value
+            elif value is not None:
+                tok = f"{tok}={value}"
+        elif tok.endswith("=--") and tok[:-3] in _TAKES_VALUE:
+            tokens.append(tok[:-3])
+            tok = "--"
+        if tok == "--":
+            tokens.append(tok)
+            tokens.extend(rest)
             break
-        kept.append(tok)
-    return kept, values
+        if cut and tok.startswith("--var="):
+            values.append(tok[6:])
+            # the subcommand's name comes first, so there is a token before this one
+            if tokens[-1].startswith("--var="):
+                continue
+        tokens.append(tok)
+    return tokens, values
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -376,26 +368,27 @@ def _parse_args(argv) -> argparse.Namespace:
     builds it (same ``prog``, same options) parses the rest alone, into a
     namespace that starts with ``command`` as the full parse's does: its
     help, usage lines and errors are the ones the full parse prints.
-    That parser gets one ``--var`` token for each run of them (see
-    ``_collapse_var_runs``); ``args.var`` then holds every ``--var``
-    value in argv order, which is what argparse would have appended.
-    The full parser is built only for a call that names no subcommand
-    (help, an unknown name, an option first), and for one that leaves an
-    argument over, which it refuses under the top-level usage line; it
-    gets every token.
+    Both parsers read the one token list ``_read_argv`` makes, in which
+    a named subcommand's ``--var`` runs are cut to one token each;
+    ``args.var`` then holds every ``--var`` value in argv order, which is
+    what argparse would have appended.  The full parser is built only for
+    a call that names no subcommand (help, an unknown name, an option
+    first), and for one that leaves an argument over, which it refuses
+    under the top-level usage line.  It gets the cut tokens too: it hands
+    them to the same subcommand parser, which leaves over the same
+    arguments, and a ``--var=`` token is never one of them.
     """
-    joined = _join_option_values(argv)
-    name = joined[0] if joined else None
+    tokens, values = _read_argv(argv)
+    name = tokens[0] if tokens else None
     if name in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"relival {name}", allow_abbrev=False)
         _add_arguments(parser, name)
-        tokens, values = _collapse_var_runs(joined[1:])
-        args, extras = parser.parse_known_args(tokens, argparse.Namespace(command=name))
+        args, extras = parser.parse_known_args(tokens[1:], argparse.Namespace(command=name))
         if not extras:
             if values:
                 args.var = values
             return args
-    return _build_parser().parse_args(joined)
+    return _build_parser().parse_args(tokens)
 
 
 def main(argv=None) -> int:

@@ -801,8 +801,8 @@ MUTANTS = [
     Mutant(
         "a named command's namespace gets command last",
         "cli.py",
-        "args, extras = parser.parse_known_args(tokens, argparse.Namespace(command=name))\n",
-        "args, extras = parser.parse_known_args(tokens)\n        args.command = name\n",
+        "args, extras = parser.parse_known_args(tokens[1:], argparse.Namespace(command=name))\n",
+        "args, extras = parser.parse_known_args(tokens[1:])\n        args.command = name\n",
         tests=(
             "tests/test_cli.py::TestParserTable::test_parsed_arguments_match_the_parent_parser",
         ),
@@ -810,7 +810,7 @@ MUTANTS = [
     Mutant(
         "every --var token dropped",
         "cli.py",
-        '            if kept and kept[-1].startswith("--var="):\n                continue\n',
+        '            if tokens[-1].startswith("--var="):\n                continue\n',
         "            continue\n",
         tests=(
             "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
@@ -829,16 +829,25 @@ MUTANTS = [
     Mutant(
         "--var extraction continues past --",
         "cli.py",
-        '        elif tok == "--":\n            kept.append(tok)\n            kept.extend(rest)\n            break\n',
-        "",
+        '        if tok == "--":\n',
+        '        if tok == "--" and not cut:\n',
         tests=(
             "tests/test_cli.py::TestParserTable::test_one_var_token_per_run",
         ),
     ),
     Mutant(
+        "a --var run cut when the first token names no subcommand",
+        "cli.py",
+        "    cut = bool(argv) and argv[0] in _COMMANDS\n",
+        "    cut = True\n",
+        tests=(
+            "tests/test_cli.py::TestParserTable::test_same_as_the_parent_parser",
+        ),
+    ),
+    Mutant(
         "-- glued to the option before it",
         "cli.py",
-        '            if value == "--":\n                out.append(tok)\n                tok = value\n            elif value is not None:\n',
+        '            if value == "--":\n                tokens.append(tok)\n                tok = value\n            elif value is not None:\n',
         "            if value is not None:\n",
         tests=(
             "tests/test_cli.py::TestLeadingDashValues::test_double_dash_is_never_a_value",

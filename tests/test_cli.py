@@ -52,6 +52,11 @@ class TestEval:
         code, out, err = run(capsys, "eval", "x - x", "--var", "x=[0,1]")
         assert (code, out, err) == (0, "[-1,1]\n", "")
 
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["relival", "eval", "x - x", "--var", "x=[0,1]"])
+        assert main() == 0
+        assert capsys.readouterr() == ("[-1,1]\n", "")
+
     def test_empty_result(self, capsys):
         code, out, _ = run(capsys, "eval", "x / y", "--var", "x=[1,2]", "--var", "y=[0,0]")
         assert code == 0
@@ -660,10 +665,10 @@ class TestLeadingDashValues:
 
     def test_double_dash_ends_the_gluing(self):
         split = ["eval", "x", "--tol", "--", "--at", "1"]
-        assert cli._join_option_values(["eval", "x", "--tol", "--", "--at", "1"]) == split
-        assert cli._join_option_values(["eval", "x", "--tol=--", "--at", "1"]) == split
+        assert cli._read_argv(["eval", "x", "--tol", "--", "--at", "1"])[0] == split
+        assert cli._read_argv(["eval", "x", "--tol=--", "--at", "1"])[0] == split
         # only a whole "--" value is split off
-        assert cli._join_option_values(["--var=x=--", "--at==--"]) == ["--var=x=--", "--at==--"]
+        assert cli._read_argv(["--var=x=--", "--at==--"])[0] == ["--var=x=--", "--at==--"]
 
     def test_option_without_a_value(self):
         code, out, err = run_any(("refine", "x", "--var", "x=[0,1]", "--at"))
@@ -996,9 +1001,12 @@ _BATTERY = [
     ("eval", "--var", "x=[0,1]", "--", "--var=y=[2,3]"),
     ("eval", "x", "--", "--var", "x=[0,1]"),
     ("--var", "x=[0,1]", "eval", "x"),
+    # the option first: no run is cut, so the refusal lists every binding
+    ("--var", "x=[0,1]", "--var", "y=[2,3]", "eval", "x + y"),
     ("refine", "--var", "x=[0,1]", "--var", "y=[2,3]", "--at", "0.5,2.5", "--steps", "2", "x*y"),
     # arguments that the named subcommand's parser leaves over, which the full parser refuses
     ("eval", "--var", "x=[0,1]", "--", "x", "y"),
+    ("eval", "--var", "x=[0,1]", "--var", "y=[2,3]", "x + y", "extra"),
     ("refine", "x", "--var", "x=[0,1]", "--at", "0.5", "extra"),
     ("enclose", "x", "--var", "x=[0,1]", "--tol", "1", "extra"),
     ("check", "x", "--var", "x=[0,1]", "--seed", "1", "2"),

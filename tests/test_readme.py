@@ -3,8 +3,10 @@
 import ast
 import pathlib
 import re
+import shlex
 
 from relival import Interpretation, default_interpretation, eval_real, parse
+from relival.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +44,20 @@ def test_examples_and_partiality():
     assert "A value past the float range is `Undefined` too, such as the int `10**400`" in prose
     huge = Interpretation({**interp.real_ops, "abs": lambda a: 10**400}, interp.interval_ops)
     assert repr(eval_real(parse("abs(x)")[0], huge, (1.0,))) == "Undefined"
+
+
+def test_shell_transcripts(capsys):
+    # each "$ relival" command of the README's shell block, its "\" continuations
+    # joined, run in-process against the output lines printed under it
+    text = README.read_text(encoding="utf-8")
+    runs = []
+    for lang, block in re.findall(r"^```(\w*)\n(.*?)^```", text, re.M | re.S):
+        for part in block.split("\n\n"):
+            if not lang and part.startswith("$ relival "):
+                command, _, shown = part.replace("\\\n", " ").partition("\n")
+                argv = shlex.split(command)[2:]
+                runs.append((argv[0], main(argv)))
+                out, err = capsys.readouterr()
+                assert (out.splitlines(), err) == (shown.splitlines(), "")
+    # refine's transcript ends "converged: no", which exits 4
+    assert runs == [("eval", 0), ("enclose", 0), ("refine", 4), ("check", 0)]
