@@ -29,12 +29,10 @@ _ORACLE_NAMES = (
     "RationalInterval",
     "relational_oracle",
     "corner_range_oracle",
+    "expression_oracle",
     "sample_inclusion",
     "random_case",
     "random_single_occurrence_case",
-    "ManifestCase",
-    "write_manifest",
-    "read_manifest",
 )
 
 __all__ = [

@@ -2,31 +2,35 @@
 
 Everything here recomputes answers from first principles in exact
 rational arithmetic, deliberately sharing no code with the rounded
-engine: relational results are rebuilt from the defining equations with
-corner analysis plus symbolic treatment of zero divisors, and ranges of
-single-occurrence product/sum expressions come from exact corner
-enumeration.  Oracle results use ``RationalInterval``: Fraction bounds in
-``Interval``'s set format (an infinity for an absent bound, ``(inf, -inf)``
-for the empty set), so comparisons against the engine are exact and then
-judged in float ULP steps.
+engine.  One table, ``_RULES``, holds an exact rule per operation: on
+the exact bounds of nonempty operands (Fractions, an infinity where a
+bound is absent) it returns the bound pair of the operation's exact
+solution set, rebuilt from its defining relation; ``_MODES`` rebinds
+``/`` and ``sqrt`` for each reading, as ``mode_select`` does.  Three
+oracles read the table: ``relational_oracle`` applies one rule to
+bounded operands, ``corner_range_oracle`` takes the hull of a
+single-occurrence ``+ - * neg`` expression's exact values at the
+corners of its box, and ``expression_oracle`` folds the rules over a
+whole expression, which a sound engine's result must contain (Moore's
+fundamental theorem).  Oracle results use ``RationalInterval``:
+Fraction bounds in ``Interval``'s set format (an infinity for an absent
+bound, ``(inf, -inf)`` for the empty set), so comparisons against the
+engine are exact and then judged in float ULP steps.
 
 Random case generators draw expressions with matching boxes.  One tree
 builder serves both case diets of ``random_case``; a table gives each
 diet its thresholds, the kinds they pick, its infix operations and the
-kinds whose operand is a positive variable.  A plain-text manifest
-format records test cases (one per line, fields tab-separated: seed,
-expression, box, check name) so fixed corpora can be committed and
-replayed.  ``sample_inclusion``, the sampler behind ``relival check``,
-runs the engine's own point evaluation, so it lives in ``semantics`` and
-is re-exported here.  The package loads this module only on first use of
-one of its names, so the command line never imports it.
+kinds whose operand is a positive variable.  ``sample_inclusion``, the
+sampler behind ``relival check``, runs the engine's own point
+evaluation, so it lives in ``semantics`` and is re-exported here.  The
+package loads this module only on first use of one of its names, so the
+command line never imports it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -37,13 +41,16 @@ from . import _ORACLE_NAMES
 
 # member and eval_interval go unused here: the benchmark tracer patches each of
 # them, and variable_sequence, in this module's namespace, so each must stay bound
-from .expr import (
-    Binary, Expr, Unary, Var, _fold, _postorder, occurs_once, parse, to_source, variable_sequence
-)
-from .interval import Box, Interval, member, parse_box
+from .expr import Binary, Expr, Unary, Var, _fold, _postorder, occurs_once, variable_sequence
+from .interval import Box, Interval, member
 from .semantics import _box_dims, eval_interval, sample_inclusion
 
 __all__ = list(_ORACLE_NAMES)
+
+_INF = math.inf
+_INFS = (_INF, -_INF)
+_ZERO = Fraction(0)
+_EMPTY = (_INF, -_INF)
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,9 @@ class RationalInterval:
     hi: "Fraction | float"
 
     def __post_init__(self):
-        if not self.lo <= self.hi and (self.lo, self.hi) != (math.inf, -math.inf):
+        if not self.lo <= self.hi and (self.lo, self.hi) != _EMPTY:
             raise ValueError("rational interval bounds out of order")
-        if self.lo == self.hi and self.lo in (math.inf, -math.inf):
+        if self.lo == self.hi and self.lo in _INFS:
             raise ValueError("an infinite bound marks an absent one; use (inf, -inf) for empty")
 
     @property
@@ -69,13 +76,11 @@ class RationalInterval:
 
     @classmethod
     def from_interval(cls, iv: Interval) -> "RationalInterval":
-        lo = iv.lo if math.isinf(iv.lo) else Fraction(iv.lo)
-        hi = iv.hi if math.isinf(iv.hi) else Fraction(iv.hi)
-        return cls(lo, hi)
+        return cls(*_bounds(iv))
 
     def contains(self, q) -> bool:
         # as for ``member``, NaN (the one value unequal to itself) and the infinities never belong
-        return q == q and q not in (math.inf, -math.inf) and self.lo <= Fraction(q) <= self.hi
+        return q == q and q not in _INFS and self.lo <= Fraction(q) <= self.hi
 
     def is_inside(self, iv: Interval) -> bool:
         """Exact test that every member of self belongs to the float interval."""
@@ -83,17 +88,8 @@ class RationalInterval:
         return iv.lo <= self.lo and self.hi <= iv.hi
 
 
-RATIONAL_EMPTY = RationalInterval(math.inf, -math.inf)
-RATIONAL_REALS = RationalInterval(-math.inf, math.inf)
-
-
-# exact binary corner operations, shared by the relational and corner oracles
-_CORNER_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _require_bounded(iv: Interval, side: str):
-    if not iv.is_bounded:
-        raise ValueError(f"oracle needs bounded operands; {side} is unbounded")
+RATIONAL_EMPTY = RationalInterval(*_EMPTY)
+RATIONAL_REALS = RationalInterval(-_INF, _INF)
 
 
 _SQRT_BITS = 200
@@ -113,28 +109,93 @@ def _sqrt_bracket(q: Fraction):
     return lo, Fraction(s + 1, den)
 
 
-def _div_oracle(xlo: Fraction, xhi: Fraction, ylo: Fraction, yhi: Fraction) -> RationalInterval:
-    # solution set of z*y = x over exact rationals
-    zero_in_x = xlo <= 0 <= xhi
-    zero_in_y = ylo <= 0 <= yhi
-    if ylo == 0 and yhi == 0:
-        # z*0 = x solvable iff 0 in X, and then by every z
-        return RATIONAL_REALS if zero_in_x else RATIONAL_EMPTY
-    if zero_in_x and zero_in_y:
-        return RATIONAL_REALS
-    # witnesses with y != 0: the corner quotients, which bound the hull exactly, since
-    # a / b is monotone in each argument while b keeps one sign
-    candidates = [a / b for a in (xlo, xhi) for b in (ylo, yhi) if b != 0]
-    # an endpoint at zero with the other side nonzero still witnesses z=0
-    if zero_in_x:
-        candidates.append(Fraction(0))
-    pos_near_zero = yhi > 0 and ylo <= 0  # arbitrarily small positive divisors
-    neg_near_zero = ylo < 0 and yhi >= 0
-    unbounded_above = (pos_near_zero and xhi > 0) or (neg_near_zero and xlo < 0)
-    unbounded_below = (pos_near_zero and xlo < 0) or (neg_near_zero and xhi > 0)
-    lo = -math.inf if unbounded_below else min(candidates)
-    hi = math.inf if unbounded_above else max(candidates)
-    return RationalInterval(lo, hi)
+# The exact rules.  Each takes the bounds of nonempty operands, Fractions or a float
+# infinity where a bound is absent (so ``type(b) is float`` tells an infinity, without the
+# slow Fraction-to-float comparison), and returns the bound pair of the exact result,
+# (inf, -inf) when it is empty.  An infinity never meets a Fraction in arithmetic, which
+# would convert the Fraction to a float and overflow past the float range.
+
+
+def _plus(a, b):
+    # two bounds of one side: two infinities share their sign
+    return a if type(a) is float else b if type(b) is float else a + b
+
+
+def _times(a, b):
+    # a zero factor annihilates an infinite one: {0} * R = {0}
+    if a == 0 or b == 0:
+        return _ZERO
+    if type(a) is float or type(b) is float:
+        return _INF if (a > 0) == (b > 0) else -_INF
+    return a * b
+
+
+def _product(a, b, c, d):
+    corners = (_times(a, c), _times(a, d), _times(b, c), _times(b, d))
+    return min(corners), max(corners)
+
+
+def _quotient_image(a, b, c, d):
+    """Hull of {u / v : u in [a, b], v in [c, d], v != 0}; empty for the divisor [0, 0]."""
+    # u / v = u * (1 / v) over each sign part of the divisor, where 1 / v is monotone and
+    # its bounds are the part's infinity at 0 and 0 at an infinity
+    lo, hi = _EMPTY
+    if d > 0:
+        lo, hi = _product(a, b, _ZERO if d == _INF else 1 / d, _INF if c <= 0 else 1 / c)
+    if c < 0:
+        nlo, nhi = _product(a, b, -_INF if d >= 0 else 1 / d, _ZERO if c == -_INF else 1 / c)
+        lo, hi = min(lo, nlo), max(hi, nhi)
+    return lo, hi
+
+
+def _quotient(a, b, c, d):
+    # z * v = u: with 0 in both operands, every z solves z * 0 = 0
+    return (-_INF, _INF) if a <= 0 <= b and c <= 0 <= d else _quotient_image(a, b, c, d)
+
+
+def _root_image(a, b):
+    # the nonnegative branch; sqrt(2)'s outer bracket lies above its inner one, so a
+    # point's lower bound is clamped to its upper
+    if b < 0:
+        return _EMPTY
+    hi = b if b == _INF else _sqrt_bracket(b)[0]
+    return (_ZERO if a <= 0 else min(_sqrt_bracket(a)[1], hi)), hi
+
+
+def _root_pair(a, b):
+    # y * y = x: both roots of the largest admissible radicand; the empty pair maps to itself
+    hi = _root_image(a, b)[1]
+    return -hi, hi
+
+
+_RULES = {
+    "+": lambda a, b, c, d: (_plus(a, c), _plus(b, d)),
+    "-": lambda a, b, c, d: (_plus(a, -d), _plus(b, -c)),
+    "*": _product,
+    "/": _quotient,
+    "neg": lambda a, b: (-b, -a),
+    "abs": lambda a, b: (a, b) if a >= 0 else (-b, -a) if b <= 0 else (_ZERO, max(b, -a)),
+    "sqrt": _root_image,
+    "sqrtr": _root_pair,
+}
+_BINARY = ("+", "-", "*", "/")
+# each mode's rebinding of "/" and "sqrt", as mode_select makes it; None is the default reading
+_MODES = {None: {}, "relational": {"sqrt": _root_pair}, "canonical": {"/": _quotient_image}}
+
+
+def _exact_fold(e: Expr, rules: dict, leaf):
+    """``rules`` folded over ``e`` on bound pairs, ``leaf(var)`` at the leaves; an empty operand gives the empty pair."""
+    return _fold(
+        e,
+        leaf,
+        lambda u, x: x if x[0] > x[1] else rules[u.op](*x),
+        lambda n, x, y: _EMPTY if x[0] > x[1] or y[0] > y[1] else rules[n.op](*x, *y),
+    )
+
+
+def _bounds(iv: Interval) -> tuple:
+    # an interval's bounds as exact ones: Fractions, and an infinity where absent
+    return tuple(b if b in _INFS else Fraction(b) for b in (iv.lo, iv.hi))
 
 
 def relational_oracle(op: str, x: Interval, y: "Interval | None" = None) -> RationalInterval:
@@ -148,60 +209,21 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None) -> Rati
     it is the exact hull, for the roots it is exact on perfect squares and
     an inner approximation within 2**-200 otherwise.
     """
-    binary = op in _CORNER_BINARY or op == "/"
-    if not binary and op not in ("neg", "abs", "sqrt", "sqrtr"):
+    if op not in _RULES:
         raise ValueError(f"no oracle for operation {op!r}")
+    binary = op in _BINARY
     if binary != (y is not None):
         raise ValueError(f"operation {op!r} takes {'two operands' if binary else 'one operand'}")
-    _require_bounded(x, "the first operand")
-    if binary:
-        _require_bounded(y, "the second operand")
-    if x.is_empty or (binary and y.is_empty):
+    operands = (x, y) if binary else (x,)
+    for iv, side in zip(operands, ("the first operand", "the second operand")):
+        if not iv.is_bounded:
+            raise ValueError(f"oracle needs bounded operands; {side} is unbounded")
+    if any(iv.is_empty for iv in operands):
         return RATIONAL_EMPTY
-    xlo, xhi = Fraction(x.lo), Fraction(x.hi)
-    if binary:
-        ylo, yhi = Fraction(y.lo), Fraction(y.hi)
-        if op == "/":
-            return _div_oracle(xlo, xhi, ylo, yhi)
-        # for "-", z + y = x, so z ranges over corner differences
-        f = _CORNER_BINARY[op]
-        vals = [f(a, b) for a in (xlo, xhi) for b in (ylo, yhi)]
-        return RationalInterval(min(vals), max(vals))
-    if op == "neg":
-        return RationalInterval(-xhi, -xlo)
-    if op == "abs":
-        if xlo >= 0:
-            return RationalInterval(xlo, xhi)
-        if xhi <= 0:
-            return RationalInterval(-xhi, -xlo)
-        return RationalInterval(Fraction(0), max(xhi, -xlo))
-    if xhi < 0:
-        return RATIONAL_EMPTY
-    hi_inner, _ = _sqrt_bracket(xhi)
-    if op == "sqrtr":
-        # y*y = x: symmetric pair of roots of the largest admissible radicand
-        return RationalInterval(-hi_inner, hi_inner)
-    # sqrt: image of the nonnegative branch
-    if xlo <= 0:
-        return RationalInterval(Fraction(0), hi_inner)
-    _, lo_outer = _sqrt_bracket(xlo)
-    return RationalInterval(min(lo_outer, hi_inner), hi_inner)
+    return RationalInterval(*_RULES[op](*(b for iv in operands for b in _bounds(iv))))
 
 
-_CORNER_OPS = {*_CORNER_BINARY, "neg"}
-
-
-def _corner_ops_only(e: Expr) -> bool:
-    return all(n.op in _CORNER_OPS for n in _postorder(e) if not isinstance(n, Var))
-
-
-def _exact_eval(e: Expr, env: dict) -> Fraction:
-    return _fold(
-        e,
-        lambda v: env[v.name],
-        lambda u, child: -child,
-        lambda b, left, right: _CORNER_BINARY[b.op](left, right),
-    )
+_CORNER_OPS = {"+", "-", "*", "neg"}
 
 
 def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
@@ -209,11 +231,12 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
 
     Each variable appears in at most one leaf, so the expression is
     affine in every variable separately and its range over a box is the
-    hull of its values at the corners, computed here in exact rationals.
+    hull of its values at the corners, each computed here by the exact
+    rules on point pairs.
     """
     if not occurs_once(e):
         raise ValueError("corner oracle needs each variable in a single leaf")
-    if not _corner_ops_only(e):
+    if not all(n.op in _CORNER_OPS for n in _postorder(e) if not isinstance(n, Var)):
         raise ValueError("corner oracle covers only + - * neg")
     choices = []
     for d in _box_dims(e, box):
@@ -222,15 +245,30 @@ def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
         lo, hi = Fraction(d.lo), Fraction(d.hi)
         choices.append((lo,) if lo == hi else (lo, hi))
     names = variable_sequence(e)
-    # the hull as running bounds, seeded with the empty pair
-    best_lo, best_hi = math.inf, -math.inf
-    for corner in itertools.product(*choices):
-        v = _exact_eval(e, dict(zip(names, corner)))
-        if v < best_lo:
-            best_lo = v
-        if v > best_hi:
-            best_hi = v
-    return RationalInterval(best_lo, best_hi)
+    # each corner's value, as a point pair (v, v)
+    values = [_exact_fold(e, _RULES, lambda v: (at[v.name],) * 2)[0]
+              for at in (dict(zip(names, corner)) for corner in itertools.product(*choices))]
+    return RationalInterval(min(values), max(values))
+
+
+def expression_oracle(e: Expr, box, mode: "str | None" = None) -> RationalInterval:
+    """Exact interval evaluation of ``e`` over ``box`` (a ``Box`` or any sequence of intervals).
+
+    Each node applies its operation's exact rule, in the reading of
+    ``mode`` (None for the default, ``"relational"`` or ``"canonical"``,
+    as for ``mode_select``), to its operands' results.  Each rule gives
+    its operation's exact set, or for the roots a subset within 2**-200;
+    the exact operations are inclusion monotone, and a sound engine's
+    operations contain them, so (Moore's fundamental theorem) the
+    engine's ``eval_interval`` under the same reading contains this
+    result.  Any box is taken: rays, the whole line and empty coordinates
+    too.
+    """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}; use 'relational' or 'canonical'")
+    rules = {**_RULES, **_MODES[mode]}
+    at = dict(zip(variable_sequence(e), map(_bounds, _box_dims(e, box))))
+    return RationalInterval(*_exact_fold(e, rules, lambda v: at[v.name]))
 
 
 # each case diet: (thresholds, kinds, infix operations, guarded kinds).  A node's
@@ -328,45 +366,3 @@ def random_single_occurrence_case(rng: random.Random):
         lo, hi = sorted((t1, t2))
         dims.append(Interval(lo / 16, hi / 16))
     return e, Box(tuple(dims))
-
-
-@dataclass(frozen=True)
-class ManifestCase:
-    """One recorded test case: seed, expression source, box text, check name."""
-
-    seed: int
-    expression: str
-    box: str
-    check: str
-
-    def parsed(self):
-        """(expr, box) pair reconstructed from the recorded texts."""
-        e, _ = parse(self.expression)
-        return e, parse_box(self.box)
-
-
-def write_manifest(path, cases) -> None:
-    """Write cases one per line, tab-separated (fields contain spaces)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for c in cases:
-            fh.write(f"{c.seed}\t{c.expression}\t{c.box}\t{c.check}\n")
-
-
-def read_manifest(path):
-    """Read a manifest written by ``write_manifest``; skips blank lines."""
-    cases = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"manifest line {lineno} needs 4 tab-separated fields")
-            cases.append(ManifestCase(int(parts[0]), parts[1], parts[2], parts[3]))
-    return cases
-
-
-def case_for(seed: int, e: Expr, box: Box, check: str) -> ManifestCase:
-    """Manifest record for an in-memory case."""
-    return ManifestCase(seed, to_source(e), str(box), check)

@@ -386,10 +386,16 @@ def _check_arity(e: Expr, got: int):
 
 
 def _point(values) -> "tuple[float, ...]":
-    """``values`` as a tuple of floats; a number past the float range, such as
-    the int ``10**400``, is refused with ValueError, not OverflowError."""
+    """``values`` as a tuple of floats.  Text is refused with TypeError, since
+    ``float`` would read it (``"1_0"`` as 10.0, ``b"3"`` as 3.0); a number
+    past the float range, such as the int ``10**400``, is refused with
+    ValueError, not OverflowError."""
+    values = tuple(values)
+    for t in set(map(type, values)):  # one test per coordinate type
+        if issubclass(t, (str, bytes, bytearray)):
+            raise TypeError(f"a point coordinate must be a number, not {t.__name__}")
     try:
-        return tuple(float(v) for v in values)
+        return tuple(map(float, values))
     except OverflowError:
         raise ValueError("point coordinates must be finite reals") from None
 

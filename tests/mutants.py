@@ -696,6 +696,44 @@ MUTANTS = [
             "tests/test_edge_grid.py::test_kernels_on_empty_and_unbounded_operands",
             "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[+]",
             "tests/test_interval.py::TestAddSub::test_sub_is_add_of_negation",
+            "tests/test_oracle.py::TestExpressionOracle::test_random_cases_lie_inside_the_engine",
+        ),
+    ),
+    # a bound rounded to nearest, not outward: the whole-expression oracle check finds each
+    Mutant(
+        "_sub's lower bound rounds to nearest",
+        "interval.py",
+        "return add_down(a, -d), add_up(b, -c)",
+        "return a - d, add_up(b, -c)",
+        tests=(
+            "tests/test_oracle.py::TestExpressionOracle::test_random_cases_lie_inside_the_engine",
+        ),
+    ),
+    Mutant(
+        "_div_by_positive's upper bound rounds to nearest",
+        "interval.py",
+        "hi = div_up(b, d) if b <= 0 else (_INF if c <= 0.0 else div_up(b, c))",
+        "hi = b / d if b <= 0 else (_INF if c <= 0.0 else b / c)",
+        tests=(
+            "tests/test_oracle.py::TestExpressionOracle::test_random_cases_lie_inside_the_engine",
+        ),
+    ),
+    Mutant(
+        "_sqrt_canonical's upper bound rounds to nearest",
+        "interval.py",
+        "return (sqrt_down(x[0]) if x[0] > 0 else 0.0), sqrt_up(x[1])",
+        "return (sqrt_down(x[0]) if x[0] > 0 else 0.0), math.sqrt(x[1])",
+        tests=(
+            "tests/test_oracle.py::TestExpressionOracle::test_random_cases_lie_inside_the_engine",
+        ),
+    ),
+    Mutant(
+        "_mul's upper bound rounds to nearest on nonnegative operands",
+        "interval.py",
+        "return mul_down(a, c), mul_up(b, d)",
+        "return mul_down(a, c), b * d",
+        tests=(
+            "tests/test_oracle.py::TestExpressionOracle::test_random_cases_lie_inside_the_engine",
         ),
     ),
     Mutant(
@@ -1004,8 +1042,8 @@ MUTANTS = [
     Mutant(
         "divisors through zero from above missed",
         "oracle.py",
-        "pos_near_zero = yhi > 0 and ylo <= 0",
-        "pos_near_zero = yhi > 0 and ylo < 0",
+        "    if d > 0:\n        lo, hi = _product(",
+        "    if d > 0 and c >= 0:\n        lo, hi = _product(",
         tests=(
             "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[/]",
             "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[/c]",
@@ -1015,8 +1053,8 @@ MUTANTS = [
     Mutant(
         "root of a non-square point unclamped",
         "oracle.py",
-        "RationalInterval(min(lo_outer, hi_inner), hi_inner)",
-        "RationalInterval(lo_outer, hi_inner)",
+        "min(_sqrt_bracket(a)[1], hi)",
+        "_sqrt_bracket(a)[1]",
         tests=(
             "tests/test_oracle.py::TestRelationalOracle::test_root_of_a_non_square_point_is_one_point",
         ),

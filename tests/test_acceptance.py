@@ -20,6 +20,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from conftest import ulp_steps
+from manifest import case_for, read_manifest, write_manifest
 
 from relival.cli import main as cli_main
 from relival.expr import parse
@@ -42,15 +43,7 @@ from relival.interval import (
     width,
 )
 from relival.analysis import refine_toward
-from relival.oracle import (
-    case_for,
-    corner_range_oracle,
-    random_case,
-    random_single_occurrence_case,
-    read_manifest,
-    relational_oracle,
-    write_manifest,
-)
+from relival.oracle import corner_range_oracle, random_case, random_single_occurrence_case, relational_oracle
 from relival.semantics import _sample, default_interpretation, eval_interval, eval_real
 
 INF = math.inf

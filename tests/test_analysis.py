@@ -128,6 +128,14 @@ class TestRefineToward:
         with pytest.raises(ValueError, match="point coordinates must be finite reals"):
             refine_toward(box1(0, 1), (10**400,), 1)
 
+    @pytest.mark.parametrize("text", ["1_0", b"3"])
+    def test_text_targets_are_refused(self, text):
+        # read by float(), "1_0" would be the target 10.0, inside the box
+        with pytest.raises(TypeError, match="^a point coordinate must be a number, not "):
+            refine_toward(box1(0, 20), (text,), 1)
+        with pytest.raises(TypeError, match="^a point coordinate must be a number, not "):
+            RefinementSequence((box1(0, 20),), (text,))
+
     def test_box_wider_than_max_float_still_shrinks(self):
         seq = refine_toward(box1(-1e308, 1e308), (0.0,), 3)
         widths = [width(b[0]) for b in seq.boxes]

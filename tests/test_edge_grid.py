@@ -11,7 +11,8 @@ zeros as written, and every pair it returns must be a valid one: the
 empty pair ``(inf, -inf)``, or float bounds with ``lo <= hi``,
 ``lo != inf`` and ``hi != -inf``.  That is what lets the kernels test an
 operand for emptiness with ``lo > hi`` alone.  The boxed result is
-compared with ``relational_oracle``'s exact answer: it must contain it,
+compared with ``relational_oracle``'s exact answer (for canonical division
+``/c``, with the oracle's quotient-image rule): it must contain it,
 and each finite bound must be the tightest float bound or its outward
 neighbour.
 
@@ -42,7 +43,7 @@ from relival.interval import (
     sqrt_rel,
     sub,
 )
-from relival.oracle import RATIONAL_EMPTY, RationalInterval, relational_oracle
+from relival.oracle import RationalInterval, _quotient_image, relational_oracle
 from relival.rounding import MAX_FLOAT, next_down, next_up, round_down, round_up
 
 from conftest import ulp_steps
@@ -64,24 +65,10 @@ BINARY = {"+": add, "-": sub, "*": mul, "/": div, "/c": div_canonical}
 UNARY = {"sqrt": sqrt_canonical, "sqrtr": sqrt_rel, "neg": neg, "abs": absolute}
 
 
-def _canonical_oracle(x: Interval, y: Interval) -> RationalInterval:
-    """Exact hull of {u / v : u in x, v in y, v != 0}."""
-    if not (x.lo <= 0 <= x.hi and y.lo <= 0 <= y.hi):
-        # no zero-by-zero witness: the image is the relational solution set
-        return relational_oracle("/", x, y)
-    if y.lo == 0 and y.hi == 0:
-        return RATIONAL_EMPTY
-    # 0 / v is attained; divisors near zero of either sign send the
-    # nonzero numerators of the matching sign to infinity
-    pos, negs = y.hi > 0, y.lo < 0
-    lo = -math.inf if (pos and x.lo < 0) or (negs and x.hi > 0) else Fraction(0)
-    hi = math.inf if (pos and x.hi > 0) or (negs and x.lo < 0) else Fraction(0)
-    return RationalInterval(lo, hi)
-
-
 def _oracle(op: str, x: Interval, y=None) -> RationalInterval:
     if op == "/c":
-        return _canonical_oracle(x, y)
+        # the image rule that the oracle's canonical reading of "/" uses
+        return RationalInterval(*_quotient_image(*map(Fraction, (x.lo, x.hi, y.lo, y.hi))))
     return relational_oracle(op, x, y)
 
 

@@ -15,22 +15,19 @@ from hypothesis import strategies as st
 
 from relival.expr import Binary, Unary, Var, _postorder, parse, to_source, variable_sequence
 from relival.interval import (
-    EMPTY, REALS, Box, Interval, div, member, midpoint, mul, sqrt_canonical, sqrt_rel, subset
+    EMPTY, REALS, Box, Interval, div, div_canonical, member, midpoint, mul, sqrt_canonical, sqrt_rel, subset
 )
 from relival.oracle import (
     RATIONAL_EMPTY,
     RATIONAL_REALS,
-    ManifestCase,
     RationalInterval,
     _sqrt_bracket,
-    case_for,
     corner_range_oracle,
+    expression_oracle,
     random_case,
     random_single_occurrence_case,
-    read_manifest,
     relational_oracle,
     sample_inclusion,
-    write_manifest,
 )
 from relival.rounding import MAX_FLOAT
 from relival.semantics import (
@@ -38,6 +35,7 @@ from relival.semantics import (
 )
 
 from conftest import ulp_steps
+from manifest import case_for, read_manifest, write_manifest
 from test_edge_grid import ENDPOINTS, GRID
 from test_semantics import _real_through_adapter
 
@@ -366,6 +364,89 @@ class TestCornerRangeOracle:
             want = corner_range_oracle(e, box)
             got = eval_interval(e, DEFAULT, box)
             assert float(want.lo) == got.lo and float(want.hi) == got.hi
+
+
+def _reading(mode):
+    """The interpretation that ``expression_oracle``'s ``mode`` reads."""
+    return DEFAULT if mode is None else mode_select(DEFAULT, mode)
+
+
+class TestExpressionOracle:
+    """``expression_oracle`` folds the exact rules over a whole expression: by Moore's
+    fundamental theorem a sound engine's result contains it, in every mode."""
+
+    @pytest.mark.parametrize("mode", [None, "relational", "canonical"])
+    def test_random_cases_lie_inside_the_engine(self, mode):
+        # every draw is checked, none skipped: rays, the whole line and empty results too
+        interp = _reading(mode)
+        rng = random.Random(31)
+        kinds = Counter()
+        for _ in range(1000):
+            e, box = random_case(rng, max_depth=6)
+            want = expression_oracle(e, box, mode)
+            assert want.is_inside(eval_interval(e, interp, box)), (to_source(e), str(box))
+            kinds["empty" if want.is_empty else "unbounded" if INF in (-want.lo, want.hi) else "bounded"] += 1
+        # the ray rules really run: about 150 empty and 120 unbounded results per mode
+        assert min(kinds.values()) > 50 and len(kinds) == 3
+
+    @pytest.mark.parametrize("mode", [None, "relational", "canonical"])
+    def test_zero_times_the_whole_line_is_zero(self, mode):
+        # y / z is the whole line with 0 in both operands, in either reading of "/"
+        box = Box((Interval(0, 0), Interval(-1, 2), Interval(-3, 1)))
+        want = expression_oracle(ast("x * (y / z)"), box, mode)
+        assert (want.lo, want.hi) == (0, 0)
+        assert want.is_inside(eval_interval(ast("x * (y / z)"), _reading(mode), box))
+
+    @pytest.mark.parametrize(
+        "source, dim, mode, lo, hi",
+        [
+            ("sqrt(x)", Interval(4, INF), None, 2, INF),
+            ("sqrt(x)", Interval(-INF, 9), None, 0, 3),
+            ("sqrt(x)", Interval(4, INF), "relational", -INF, INF),
+            ("sqrtr(x)", Interval(-INF, 9), None, -3, 3),
+            ("sqrt(x)", Interval(-INF, -1), "canonical", INF, -INF),
+            ("sqrt(x)", REALS, "canonical", 0, INF),
+        ],
+    )
+    def test_root_of_a_ray(self, source, dim, mode, lo, hi):
+        want = expression_oracle(ast(source), (dim,), mode)
+        assert (want.lo, want.hi) == (lo, hi)
+        assert want.is_inside(eval_interval(ast(source), _reading(mode), (dim,)))
+
+    @pytest.mark.parametrize(
+        "x, y, lo, hi",
+        [
+            # inf / inf could be any positive quotient: the hull is bounded by the other corners
+            (Interval(1, INF), Interval(1, INF), 0, INF),
+            (Interval(1, INF), Interval(-INF, -2), -INF, 0),
+            (Interval(-INF, -1), Interval(2, INF), -INF, 0),
+            (Interval(2, 4), Interval(1, INF), 0, 4),
+        ],
+    )
+    def test_quotient_with_infinite_corners(self, x, y, lo, hi):
+        for mode in (None, "relational", "canonical"):
+            want = expression_oracle(ast("x / y"), (x, y), mode)
+            assert (want.lo, want.hi) == (lo, hi)
+            assert want.is_inside(div_canonical(x, y)) and want.is_inside(div(x, y))
+
+    def test_past_the_float_range_beside_a_ray(self):
+        # MAX_FLOAT**2 meets an infinity, and is not converted to a float, which overflows
+        box = (Interval(MAX_FLOAT, MAX_FLOAT), Interval(1, 1), Interval(0, 1))
+        big = Fraction(MAX_FLOAT) ** 2
+        for source, lo, hi in (("x * x + z / y", big + 1, INF), ("x * x - z / y", -INF, big - 1),
+                               ("x * x * (z / y)", big, INF)):
+            want = expression_oracle(ast(source), box)
+            assert (want.lo, want.hi) == (lo, hi), source
+            assert want.is_inside(eval_interval(ast(source), DEFAULT, box))
+
+    def test_empty_coordinate_gives_the_empty_set(self):
+        assert expression_oracle(ast("x + y"), (EMPTY, REALS)) == RATIONAL_EMPTY
+        # 0 * y with y empty is empty, not {0}
+        assert expression_oracle(ast("x * y"), (Interval(0, 0), EMPTY)).is_empty
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="^unknown mode 'default'"):
+            expression_oracle(ast("x"), (Interval(0, 1),), "default")
 
 
 class TestSampleInclusion:

@@ -26,8 +26,8 @@ EXPORTED = {
     "check_convergence", "bisect", "subdivide_enclosure",
     # oracle
     "RationalInterval", "relational_oracle", "corner_range_oracle",
-    "sample_inclusion", "random_case", "random_single_occurrence_case",
-    "ManifestCase", "write_manifest", "read_manifest",
+    "expression_oracle", "sample_inclusion", "random_case",
+    "random_single_occurrence_case",
 }
 
 

@@ -179,6 +179,12 @@ class TestEvalReal:
         # not defined again where the int cancels
         assert eval_real(ast("abs(x) - abs(x) + y"), interp, (1.0, 2.0)) == UNDEFINED
 
+    @pytest.mark.parametrize("text", ["1_0", "3", b"3", bytearray(b"3")])
+    def test_text_coordinates_are_refused(self, text):
+        # float() reads "1_0" as 10.0 and b"3" as 3.0; Interval refuses text such as "1_0" too
+        with pytest.raises(TypeError, match="^a point coordinate must be a number, not "):
+            eval_real(ast("x + y"), DEFAULT, (1.0, text))
+
     def test_both_root_symbols_same_point_function(self):
         assert eval_real(ast("sqrtr(x)"), DEFAULT, (9.0,)) == RealResult.defined(3.0)
 
