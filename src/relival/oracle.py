@@ -7,12 +7,13 @@ the exact bounds of nonempty operands (Fractions, an infinity where a
 bound is absent) it returns the bound pair of the operation's exact
 solution set, rebuilt from its defining relation; ``_MODES`` rebinds
 ``/`` and ``sqrt`` for each reading, as ``mode_select`` does.  Three
-oracles read the table: ``relational_oracle`` applies one rule to
-bounded operands, ``corner_range_oracle`` takes the hull of a
-single-occurrence ``+ - * neg`` expression's exact values at the
-corners of its box, and ``expression_oracle`` folds the rules over a
-whole expression, which a sound engine's result must contain (Moore's
-fundamental theorem).  Oracle results use ``RationalInterval``:
+oracles read the table: ``relational_oracle`` applies one rule to its
+operands (rays and the whole line too), ``expression_oracle`` folds the
+rules over a whole expression, which a sound engine's result must
+contain (Moore's fundamental theorem), and ``corner_range_oracle`` is
+that same fold, restricted to single-occurrence ``+ - * neg``
+expressions over bounded boxes, where it is the exact range (the
+single-use theorem).  Oracle results use ``RationalInterval``:
 Fraction bounds in ``Interval``'s set format (an infinity for an absent
 bound, ``(inf, -inf)`` for the empty set), so comparisons against the
 engine are exact and then judged in float ULP steps.
@@ -29,7 +30,6 @@ command line never imports it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from bisect import bisect_right
@@ -183,16 +183,6 @@ _BINARY = ("+", "-", "*", "/")
 _MODES = {None: {}, "relational": {"sqrt": _root_pair}, "canonical": {"/": _quotient_image}}
 
 
-def _exact_fold(e: Expr, rules: dict, leaf):
-    """``rules`` folded over ``e`` on bound pairs, ``leaf(var)`` at the leaves; an empty operand gives the empty pair."""
-    return _fold(
-        e,
-        leaf,
-        lambda u, x: x if x[0] > x[1] else rules[u.op](*x),
-        lambda n, x, y: _EMPTY if x[0] > x[1] or y[0] > y[1] else rules[n.op](*x, *y),
-    )
-
-
 def _bounds(iv: Interval) -> tuple:
     # an interval's bounds as exact ones: Fractions, and an infinity where absent
     return tuple(b if b in _INFS else Fraction(b) for b in (iv.lo, iv.hi))
@@ -202,12 +192,14 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None) -> Rati
     """Recompute one operation from its defining relation, exactly.
 
     ``y`` is given for the binary operations ``+ - * /`` and only for
-    them.  Operands must be bounded (the result may still be unbounded:
-    division by a range through zero reports its absent bounds as
-    ``-inf``/``inf``).  The result is attained by witnesses, so it is
-    always a subset of the true relational answer; for ``+ - * / neg abs``
-    it is the exact hull, for the roots it is exact on perfect squares and
-    an inner approximation within 2**-200 otherwise.
+    them.  Operands may be rays or the whole line, and the result reports
+    its absent bounds as ``-inf``/``inf`` (division by a range through
+    zero gives one from bounded operands too).  Each finite bound is
+    attained by witnesses, or approached by them along a ray (``[1, 2] /
+    [1, inf)`` gives ``[0, 2]``), so the result always lies in the closure
+    of the true relational answer; for ``+ - * / neg abs`` it is the exact
+    hull, for the roots it is exact on perfect squares and an inner
+    approximation within 2**-200 otherwise.
     """
     if op not in _RULES:
         raise ValueError(f"no oracle for operation {op!r}")
@@ -215,9 +207,6 @@ def relational_oracle(op: str, x: Interval, y: "Interval | None" = None) -> Rati
     if binary != (y is not None):
         raise ValueError(f"operation {op!r} takes {'two operands' if binary else 'one operand'}")
     operands = (x, y) if binary else (x,)
-    for iv, side in zip(operands, ("the first operand", "the second operand")):
-        if not iv.is_bounded:
-            raise ValueError(f"oracle needs bounded operands; {side} is unbounded")
     if any(iv.is_empty for iv in operands):
         return RATIONAL_EMPTY
     return RationalInterval(*_RULES[op](*(b for iv in operands for b in _bounds(iv))))
@@ -229,26 +218,19 @@ _CORNER_OPS = {"+", "-", "*", "neg"}
 def corner_range_oracle(e: Expr, box: Box) -> RationalInterval:
     """Exact range of a single-occurrence ``+ - * neg`` expression.
 
-    Each variable appears in at most one leaf, so the expression is
-    affine in every variable separately and its range over a box is the
-    hull of its values at the corners, each computed here by the exact
-    rules on point pairs.
+    Each variable appears in a single leaf and each of ``+ - * neg`` is
+    continuous, so interval evaluation with exact operations gives the
+    exact range (the single-use theorem: Moore, *Interval Analysis*,
+    1966).  The range is therefore ``expression_oracle``'s one fold of
+    the exact rules over the box; no corner is enumerated.
     """
     if not occurs_once(e):
         raise ValueError("corner oracle needs each variable in a single leaf")
     if not all(n.op in _CORNER_OPS for n in _postorder(e) if not isinstance(n, Var)):
         raise ValueError("corner oracle covers only + - * neg")
-    choices = []
-    for d in _box_dims(e, box):
-        if d.is_empty or not d.is_bounded:
-            raise ValueError("corner oracle needs bounded nonempty coordinates")
-        lo, hi = Fraction(d.lo), Fraction(d.hi)
-        choices.append((lo,) if lo == hi else (lo, hi))
-    names = variable_sequence(e)
-    # each corner's value, as a point pair (v, v)
-    values = [_exact_fold(e, _RULES, lambda v: (at[v.name],) * 2)[0]
-              for at in (dict(zip(names, corner)) for corner in itertools.product(*choices))]
-    return RationalInterval(min(values), max(values))
+    if any(d.is_empty or not d.is_bounded for d in _box_dims(e, box)):
+        raise ValueError("corner oracle needs bounded nonempty coordinates")
+    return expression_oracle(e, box)
 
 
 def expression_oracle(e: Expr, box, mode: "str | None" = None) -> RationalInterval:
@@ -268,7 +250,13 @@ def expression_oracle(e: Expr, box, mode: "str | None" = None) -> RationalInterv
         raise ValueError(f"unknown mode {mode!r}; use 'relational' or 'canonical'")
     rules = {**_RULES, **_MODES[mode]}
     at = dict(zip(variable_sequence(e), map(_bounds, _box_dims(e, box))))
-    return RationalInterval(*_exact_fold(e, rules, lambda v: at[v.name]))
+    # an empty operand gives the empty pair
+    return RationalInterval(*_fold(
+        e,
+        lambda v: at[v.name],
+        lambda u, x: x if x[0] > x[1] else rules[u.op](*x),
+        lambda n, x, y: _EMPTY if x[0] > x[1] or y[0] > y[1] else rules[n.op](*x, *y),
+    ))
 
 
 # each case diet: (thresholds, kinds, infix operations, guarded kinds).  A node's

@@ -1060,6 +1060,36 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "corner oracle takes an unbounded or empty coordinate",
+        "oracle.py",
+        "    if any(d.is_empty or not d.is_bounded for d in _box_dims(e, box)):\n"
+        "        raise ValueError(\"corner oracle needs bounded nonempty coordinates\")\n",
+        "",
+        tests=(
+            "tests/test_oracle.py::TestCornerRangeOracle::test_unbounded_rejected",
+            "tests/test_oracle.py::TestCornerRangeOracle::test_empty_coordinate_rejected",
+        ),
+    ),
+    # every test that fails under it; the edge grid's ray check is the one that judges
+    # each kernel against the rules on ray operands
+    Mutant(
+        "an infinite product takes the wrong sign",
+        "oracle.py",
+        "(a > 0) == (b > 0)",
+        "(a > 0) != (b > 0)",
+        tests=(
+            "tests/test_edge_grid.py::test_kernels_on_empty_and_unbounded_operands",
+            "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[/]",
+            "tests/test_edge_grid.py::test_binary_on_a_stride_of_the_grid[/c]",
+            "tests/test_acceptance.py::test_criterion_4_relational_case_tables",
+            "tests/test_oracle.py::TestRelationalOracle::test_division_touching_zero_is_a_ray",
+            "tests/test_oracle.py::TestRelationalOracle::test_ray_operands_give_exact_sets",
+            "tests/test_oracle.py::TestExpressionOracle::test_random_cases_lie_inside_the_engine",
+            "tests/test_oracle.py::TestExpressionOracle::test_quotient_with_infinite_corners",
+            "tests/test_oracle.py::TestExpressionOracle::test_past_the_float_range_beside_a_ray",
+        ),
+    ),
+    Mutant(
         "relational oracle skips its operand count",
         "oracle.py",
         "    if binary != (y is not None):\n"

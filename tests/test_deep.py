@@ -90,7 +90,7 @@ def test_evaluates(shape):
 
 
 def test_corner_oracle_on_a_long_sum():
-    # single-occurrence, so the corner oracle accepts it; one corner per degenerate box
+    # single-occurrence, so the corner oracle accepts it, and its one fold walks the tree iteratively
     e, _ = parse(" + ".join(f"v{i}" for i in range(3000)))
     got = corner_range_oracle(e, Box((Interval(1, 1),) * 3000))
     assert (got.lo, got.hi, got.is_empty) == (3000, 3000, False)
